@@ -4,7 +4,8 @@
 # [tool.coverage.report] section). CI images without coverage installed
 # still get the full test run — the gate degrades, it never skips tests.
 # After tests: the repo determinism linter (always available — it ships in
-# src/repro), ruff when installed, and the strict validation plane.
+# src/repro), static certification, ruff when installed, the strict
+# validation plane (every section, once) and a default `serve` session.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -27,9 +28,6 @@ python -m repro.cli lint
 echo "== static certification (scenario brackets + DEADLINE demo, strict) =="
 python -m repro.cli certify --strict
 
-echo "== static-analysis plane (kernel bank + certificates, strict) =="
-python -m repro.cli validate --only analysis --strict
-
 if python -c "import ruff" >/dev/null 2>&1 || command -v ruff >/dev/null 2>&1; then
     echo "== ruff (rules pinned in pyproject.toml) =="
     python -m ruff check src tests 2>/dev/null || ruff check src tests
@@ -37,20 +35,8 @@ else
     echo "== ruff not installed; skipping style lint =="
 fi
 
-echo "== validation plane (invariants + differentials, strict) =="
+echo "== validation plane (every section once, strict) =="
 python -m repro.cli validate --strict
 
-echo "== adaptive plane (deadline semantics + thermal-drift chaos, strict) =="
-python -m repro.cli validate --only adapt --strict
-
-echo "== batched engine (vectorized vs scalar differential contract, strict) =="
-python -m repro.cli validate --only engine --strict
-
-echo "== service plane (tenancy invariants + replay identity, strict) =="
-python -m repro.cli validate --only service --strict
-
-echo "== distributed plane (graph soundness + multi-rank parity + global energy target, strict) =="
-python -m repro.cli validate --only distributed --strict
-
-echo "== loadgen smoke (quick: 8 tenants x 2k submissions, no JSON) =="
-python -m repro.cli loadgen --quick --json ''
+echo "== service smoke (serve defaults: 8 tenants x 2k submissions) =="
+python -m repro.cli serve

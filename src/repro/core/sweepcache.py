@@ -16,9 +16,8 @@ inputs. Entries are keyed on content fingerprints:
 
 Cached arrays are frozen (``writeable=False``) and shared by reference;
 hit/miss counters are surfaced through
-:func:`repro.core.profiling.fastpath_cache_report` and the
-``repro-synergy perf`` report. Set ``REPRO_SWEEP_CACHE=0`` to disable the
-global cache.
+:func:`repro.core.profiling.fastpath_cache_report`. Set
+``REPRO_SWEEP_CACHE=0`` to disable the global cache.
 """
 
 from __future__ import annotations

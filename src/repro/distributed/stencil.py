@@ -17,7 +17,8 @@ graph scheduler derives every edge:
   which is also where the fault plane is polled.
 
 Weak scaling: per-rank block size is fixed, so the problem grows with
-the rank count — the 256–2048-rank sweep of the distributed benchmark.
+the rank count — the weak-scaling curve of ``perfbench``'s
+``distributed`` workload.
 """
 
 from __future__ import annotations

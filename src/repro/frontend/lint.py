@@ -9,8 +9,8 @@ rule      meaning
 ========  ============================================================
 ND001     wall-clock read (``time.time``, ``time.time_ns``,
           ``datetime.now``/``utcnow``/``today``) — virtual time and
-          seeded simulation only; ``time.perf_counter`` stays legal for
-          *measuring* durations in the perf harness
+          seeded simulation only; monotonic interval timers stay legal
+          for *measuring* durations
 ND002     process-global ``random.*`` call — use a seeded
           ``random.Random(seed)`` instance
 ND003     ``numpy.random`` global-state call (``np.random.rand``,

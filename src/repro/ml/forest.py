@@ -1,18 +1,14 @@
 """Random forest regression: bagged CART trees with feature subsampling.
 
-Training can fan the independent tree fits out over worker processes (or
-threads). Determinism is preserved by construction: every bootstrap resample
-is drawn **serially** from the forest-level RNG before any worker starts,
-each tree's own RNG is seeded with ``derive_seed(seed, "tree", i)`` exactly
-as in serial training, and the fitted trees are reassembled in index order —
-so ``trees_`` (and therefore predictions) are bitwise identical for any
-worker count, including the serial fallback.
+Every bootstrap resample is drawn from the forest-level RNG up front, and
+tree ``i`` is seeded with ``derive_seed(seed, "tree", i)``, so ``trees_``
+(and therefore predictions) are a pure function of ``seed`` and the data.
+Prediction descends all member trees at once over their stacked flat
+arrays.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +18,9 @@ from repro.common.rng import derive_seed, make_rng
 from repro.ml.base import Estimator, check_Xy
 from repro.ml.tree import DecisionTreeRegressor, FlatTree
 
-#: Environment knob for the default training worker count ("1" = serial).
-JOBS_ENV_VAR = "REPRO_JOBS"
-#: Environment knob for the executor kind: "process" (default) or "thread".
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
-
-def _fit_one_tree(args) -> DecisionTreeRegressor:
-    """Fit a single forest member (module-level for process pools)."""
-    X, y, idx, params, seed = args
+def _fit_one_tree(X, y, idx, params, seed) -> DecisionTreeRegressor:
+    """Fit a single forest member on the ``idx`` resample (all rows if None)."""
     tree = DecisionTreeRegressor(seed=seed, **params)
     if idx is None:
         return tree.fit(X, y)
@@ -71,8 +61,7 @@ class RandomForestRegressor(Estimator):
 
     Defaults follow common practice for regression: trees grown deep,
     one-third of the features considered per split, full-size bootstrap
-    resamples. Fully deterministic given ``seed`` — regardless of
-    ``n_jobs``.
+    resamples. Fully deterministic given ``seed``.
     """
 
     def __init__(
@@ -83,37 +72,21 @@ class RandomForestRegressor(Estimator):
         max_features: int | float | None = 1.0 / 3.0,
         bootstrap: bool = True,
         seed: int | None = None,
-        n_jobs: int | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValidationError(f"n_estimators must be >= 1 ({n_estimators!r})")
-        if n_jobs is not None and n_jobs < 1:
-            raise ValidationError(f"n_jobs must be >= 1 ({n_jobs!r})")
         self.n_estimators = int(n_estimators)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.seed = seed
-        self.n_jobs = n_jobs
         self.trees_: list[DecisionTreeRegressor] | None = None
         self._stacked: tuple[object, _StackedForest] | None = None
         #: Number of incremental refreshes applied (seeds each refresh's
         #: bootstrap/tree RNG streams, so repeated refreshes stay distinct
         #: yet deterministic).
         self.refresh_generation_: int = 0
-
-    def _resolve_jobs(self) -> int:
-        """Worker count: explicit ``n_jobs``, else ``REPRO_JOBS``, else 1."""
-        if self.n_jobs is not None:
-            return self.n_jobs
-        raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if raw:
-            try:
-                return max(1, int(raw))
-            except ValueError:
-                return 1
-        return 1
 
     def _tree_params(self) -> dict:
         return {
@@ -123,7 +96,7 @@ class RandomForestRegressor(Estimator):
         }
 
     def _bootstrap_indices(self, n: int) -> list[np.ndarray | None]:
-        """Draw all resamples serially — the RNG call order of serial fit."""
+        """Draw every member's resample up front, in member order."""
         rng = make_rng(self.seed)
         draws: list[np.ndarray | None] = []
         for _ in range(self.n_estimators):
@@ -131,32 +104,15 @@ class RandomForestRegressor(Estimator):
         return draws
 
     def fit(self, X, y) -> "RandomForestRegressor":
-        """Fit all trees, in parallel when ``n_jobs``/``REPRO_JOBS`` > 1."""
+        """Fit every member tree, in member order."""
         X, y = check_Xy(X, y)
         assert y is not None
-        tasks = [
-            (X, y, idx, self._tree_params(), derive_seed(self.seed, "tree", i))
+        self.trees_ = [
+            _fit_one_tree(
+                X, y, idx, self._tree_params(), derive_seed(self.seed, "tree", i)
+            )
             for i, idx in enumerate(self._bootstrap_indices(X.shape[0]))
         ]
-        jobs = min(self._resolve_jobs(), self.n_estimators)
-        trees: list[DecisionTreeRegressor] | None = None
-        if jobs > 1:
-            executor_cls = (
-                ThreadPoolExecutor
-                if os.environ.get(EXECUTOR_ENV_VAR, "process").strip() == "thread"
-                else ProcessPoolExecutor
-            )
-            try:
-                with executor_cls(max_workers=jobs) as pool:
-                    trees = list(pool.map(_fit_one_tree, tasks))
-            except Exception:
-                # Pool unavailable (restricted sandbox, missing semaphores,
-                # pickling limits): fall back to the serial path, which
-                # produces the identical forest.
-                trees = None
-        if trees is None:
-            trees = [_fit_one_tree(task) for task in tasks]
-        self.trees_ = trees
         self._stacked = None
         self.refresh_generation_ = 0
         return self
@@ -194,27 +150,10 @@ class RandomForestRegressor(Estimator):
         for i in range(n_replace):
             idx = rng.integers(0, n, size=n) if self.bootstrap else None
             seed = derive_seed(self.seed, "refresh", generation, i)
-            trees[i] = _fit_one_tree((X, y, idx, self._tree_params(), seed))
+            trees[i] = _fit_one_tree(X, y, idx, self._tree_params(), seed)
         self.trees_ = trees
         self._stacked = None
         self.refresh_generation_ = generation
-        return self
-
-    def fit_scalar(self, X, y) -> "RandomForestRegressor":
-        """Reference serial fit via the per-node-argsort tree path."""
-        X, y = check_Xy(X, y)
-        assert y is not None
-        trees: list[DecisionTreeRegressor] = []
-        for i, idx in enumerate(self._bootstrap_indices(X.shape[0])):
-            Xb, yb = (X, y) if idx is None else (X[idx], y[idx])
-            tree = DecisionTreeRegressor(
-                seed=derive_seed(self.seed, "tree", i), **self._tree_params()
-            )
-            tree.fit_scalar(Xb, yb)
-            trees.append(tree)
-        self.trees_ = trees
-        self._stacked = None
-        self.refresh_generation_ = 0
         return self
 
     def _stacked_forest(self) -> _StackedForest:
@@ -251,12 +190,4 @@ class RandomForestRegressor(Estimator):
             nodes[active] = nxt
             active = active[flat.feature[nxt] >= 0]
         predictions = flat.value[nodes].reshape(n_trees, n)
-        return predictions.mean(axis=0)
-
-    def predict_scalar(self, X) -> np.ndarray:
-        """Reference prediction: per-tree node walks; kept as baseline."""
-        self._check_fitted("trees_")
-        assert self.trees_ is not None
-        X, _ = check_Xy(X)
-        predictions = np.stack([tree.predict_scalar(X) for tree in self.trees_])
         return predictions.mean(axis=0)

@@ -5,9 +5,8 @@ candidate feature the samples are scanned in sorted order and prefix sums of
 ``y`` and ``y²`` give every split's SSE in O(n). Supports per-node feature
 subsampling (``max_features``) for random-forest use.
 
-Two fast paths (both bitwise-equivalent to the reference implementation,
-which stays callable as :meth:`DecisionTreeRegressor.fit_scalar` /
-:meth:`DecisionTreeRegressor.predict_scalar`):
+Two fast paths, both bitwise-equivalent to the textbook per-node-argsort
+CART with node-walk prediction (the oracle in ``tests/oracles/cart.py``):
 
 - **presorted fitting** — features are stable-argsorted once per tree;
   every node filters the parent's sorted index columns instead of
@@ -108,54 +107,6 @@ def _flat_predict(flat: FlatTree, X: np.ndarray) -> np.ndarray:
     return flat.value[nodes]
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int
-) -> tuple[int, float, float] | None:
-    """Reference best ``(feature, threshold, sse_gain)`` (argsort per node).
-
-    Kept as the scalar baseline the fast presorted path is verified (and
-    benchmarked) against. Returns ``None`` when no split satisfies the
-    leaf-size constraint or improves the SSE.
-    """
-    n = y.shape[0]
-    total_sum = float(y.sum())
-    total_sq = float((y**2).sum())
-    parent_sse = total_sq - total_sum**2 / n
-
-    best: tuple[int, float, float] | None = None
-    for j in features:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        # Candidate split positions: between distinct consecutive x values,
-        # honouring the minimum leaf size on both sides.
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys**2)
-        idx = np.arange(1, n)  # left part has idx samples
-        valid = (xs[1:] != xs[:-1]) & (idx >= min_leaf) & (n - idx >= min_leaf)
-        if not np.any(valid):
-            continue
-        k = idx[valid]
-        left_sum, left_sq = csum[k - 1], csq[k - 1]
-        right_sum = total_sum - left_sum
-        right_sq = total_sq - left_sq
-        sse = (
-            left_sq
-            - left_sum**2 / k
-            + right_sq
-            - right_sum**2 / (n - k)
-        )
-        i = int(np.argmin(sse))
-        gain = parent_sse - float(sse[i])
-        if gain <= 1e-12:
-            continue
-        split_at = k[i]
-        threshold = float((xs[split_at - 1] + xs[split_at]) / 2.0)
-        if best is None or gain > best[2]:
-            best = (int(j), threshold, gain)
-    return best
-
-
 def _best_split_presorted(
     X: np.ndarray,
     y: np.ndarray,
@@ -170,9 +121,9 @@ def _best_split_presorted(
     ``sorted_cols`` has shape ``(p, m)``: row ``j`` holds the node's row
     indices sorted (stably) by feature ``j`` (row-major so per-feature
     scans run over contiguous memory). Produces the identical
-    ``(feature, threshold)`` choice as :func:`_best_split` — same
-    elementwise arithmetic, same first-wins tie-breaking — without a
-    per-node argsort or a Python loop over features.
+    ``(feature, threshold)`` choice as a per-node, per-feature argsort
+    scan — same elementwise arithmetic, same first-wins tie-breaking —
+    without a per-node argsort or a Python loop over features.
 
     The SSE scan is restricted to the band of split positions that can
     satisfy the leaf-size constraint (left part size in
@@ -261,7 +212,7 @@ class DecisionTreeRegressor(Estimator):
         return min(int(self.max_features), p)
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
-        """Fit via the presorted fast path (identical trees to fit_scalar)."""
+        """Fit from presorted index columns (one stable argsort per tree)."""
         X, y = check_Xy(X, y)
         assert y is not None
         self.n_features_ = X.shape[1]
@@ -272,50 +223,13 @@ class DecisionTreeRegressor(Estimator):
             np.argsort(X, axis=0, kind="stable").T
         )
         scratch = np.zeros(X.shape[0], dtype=bool)
-        self._root = self._grow_presorted(
+        self._root = self._grow(
             X, y, rows, sorted_cols, 0, rng, k, scratch
         )
         self._flat = _flatten_tree(self._root)
         return self
 
-    def fit_scalar(self, X, y) -> "DecisionTreeRegressor":
-        """Reference fit (argsort per node per feature); kept as baseline."""
-        X, y = check_Xy(X, y)
-        assert y is not None
-        self.n_features_ = X.shape[1]
-        rng = make_rng(self.seed)
-        k = self._n_candidate_features(X.shape[1])
-        self._root = self._grow(X, y, depth=0, rng=rng, k_features=k)
-        self._flat = None
-        return self
-
     def _grow(
-        self, X: np.ndarray, y: np.ndarray, depth: int, rng, k_features: int
-    ) -> _Node:
-        node = _Node(value=float(y.mean()))
-        n, p = X.shape
-        if (
-            n < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or np.all(y == y[0])
-        ):
-            return node
-        if k_features < p:
-            features = rng.choice(p, size=k_features, replace=False)
-        else:
-            features = np.arange(p)
-        split = _best_split(X, y, features, self.min_samples_leaf)
-        if split is None:
-            return node
-        feature, threshold, _gain = split
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[mask], y[mask], depth + 1, rng, k_features)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng, k_features)
-        return node
-
-    def _grow_presorted(
         self,
         X: np.ndarray,
         y: np.ndarray,
@@ -326,10 +240,10 @@ class DecisionTreeRegressor(Estimator):
         k_features: int,
         scratch: np.ndarray,
     ) -> _Node:
-        """Presorted twin of :meth:`_grow`.
+        """Grow one node and its subtree from presorted index columns.
 
         ``rows`` holds the node's sample indices in original row order (so
-        all reductions see the same operand order as the reference path);
+        all reductions see the operand order of a mask-recursive grower);
         ``sorted_cols`` carries one stably-sorted index row per feature,
         maintained by mask-filtering the parent's rows — which preserves
         stable order, so every split scan sees the exact sequences the
@@ -374,10 +288,10 @@ class DecisionTreeRegressor(Estimator):
         scratch[rows_left] = False
         node.feature = feature
         node.threshold = threshold
-        node.left = self._grow_presorted(
+        node.left = self._grow(
             X, y, rows_left, sorted_left, depth + 1, rng, k_features, scratch
         )
-        node.right = self._grow_presorted(
+        node.right = self._grow(
             X, y, rows_right, sorted_right, depth + 1, rng, k_features, scratch
         )
         return node
@@ -405,20 +319,6 @@ class DecisionTreeRegressor(Estimator):
         self._check_fitted("_root")
         X = self._check_predict_input(X)
         return _flat_predict(self.flat_tree(), X)
-
-    def predict_scalar(self, X) -> np.ndarray:
-        """Reference row-by-row node walk; kept as baseline."""
-        self._check_fitted("_root")
-        X = self._check_predict_input(X)
-        out = np.empty(X.shape[0], dtype=float)
-        for i, row in enumerate(X):
-            node = self._root
-            assert node is not None
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-                assert node is not None
-            out[i] = node.value
-        return out
 
     def depth(self) -> int:
         """Actual depth of the fitted tree (a root-only tree has depth 0)."""

@@ -4,8 +4,8 @@ The reproduction's headline claims (Fig. 4 EDP/ED2P minima, §5.2–5.3
 ES_x/PL_x semantics, §2.3 power capping, the §6 model pipeline) all rest
 on physical and algebraic invariants — energy = ∫P dt, a single interior
 energy minimum per kernel, Pareto dominance, power-budget conservation —
-and on the equivalence of paired implementations (vectorized vs scalar,
-cached vs uncached, parallel vs serial, traced vs untraced). This package
+and on the equivalence of paired implementations (batched vs scalar,
+cached vs uncached, traced vs untraced). This package
 encodes both as executable checks:
 
 - :mod:`repro.validate.invariants` — pure invariant checkers over sweep,

@@ -1,18 +1,15 @@
-"""Differential validation: paired implementations must agree.
+"""Differential validation: paired runs of one mechanism must agree.
 
-The perf plane (PR 2) kept every scalar baseline callable next to its
-vectorized replacement, and the observability plane (PR 3) promised that
-tracing never perturbs the physics. This module replays seeded workloads
-through both sides of each pair and asserts equivalence:
+This module replays seeded workloads both ways and asserts equivalence:
 
-- vectorized vs ``*_scalar`` sweep and 2-D sweep paths (to the perf
-  plane's documented rel-1e-12 contract: NumPy ``pow`` and scalar libm
-  ``pow`` differ by ~1 ulp),
 - cached vs uncached :class:`~repro.core.sweepcache.SweepCache` runs
   (bitwise, plus the hit/miss accounting),
-- parallel vs serial random-forest training (bitwise predictions),
 - traced (``trace=``) vs untraced execution of a tuned queue workload
-  (identical per-kernel records and profiled energies).
+  (identical per-kernel records and profiled energies) — tracing must
+  observe the physics, never perturb it.
+
+:func:`_arrays_equal` and :data:`SCALAR_PATH_RTOL` are shared with the
+engine and distributed sections' batched-vs-scalar parity checks.
 """
 
 from __future__ import annotations
@@ -23,12 +20,12 @@ from repro.hw.specs import NVIDIA_V100, GPUSpec
 from repro.kernelir.kernel import KernelIR
 from repro.validate.result import CheckResult, check
 
-#: Default kernel set for the sweep differentials: a compute-bound, a
+#: Default kernel set for the differentials: a compute-bound, a
 #: memory-bound and a balanced member of the §8 suite.
 DIFF_KERNEL_NAMES: tuple[str, ...] = ("gemm", "sobel3", "median")
 
-#: The vectorized/scalar agreement contract of the perf plane (NumPy pow
-#: vs scalar libm pow differ by ~1 ulp, so bitwise is too strict there).
+#: The vectorized/scalar agreement contract (NumPy pow vs scalar libm pow
+#: differ by ~1 ulp, so bitwise is too strict there).
 SCALAR_PATH_RTOL = 1e-12
 
 
@@ -54,49 +51,6 @@ def _arrays_equal(name: str, context: str, *pairs, rtol: float = 0.0) -> CheckRe
                 name, False, f"{context}: paired results differ (max |Δ| = {diff:g})"
             )
     return check(name, True, context)
-
-
-def check_sweep_vectorized_vs_scalar(
-    spec: GPUSpec = NVIDIA_V100, names: tuple[str, ...] = DIFF_KERNEL_NAMES
-) -> list[CheckResult]:
-    """``measure_sweep`` against ``measure_sweep_scalar`` (rel 1e-12)."""
-    from repro.core.models import measure_sweep, measure_sweep_scalar
-
-    results = []
-    for kernel in _kernels(names):
-        fast = measure_sweep(spec, kernel, cache=False)
-        slow = measure_sweep_scalar(spec, kernel)
-        results.append(
-            _arrays_equal(
-                "diff.sweep_vectorized_vs_scalar",
-                f"{kernel.name}@{spec.name}",
-                *zip(fast, slow),
-                rtol=SCALAR_PATH_RTOL,
-            )
-        )
-    return results
-
-
-def check_sweep2d_vectorized_vs_scalar(
-    spec: GPUSpec = NVIDIA_V100, names: tuple[str, ...] = DIFF_KERNEL_NAMES
-) -> list[CheckResult]:
-    """``sweep_kernel_2d`` against ``sweep_kernel_2d_scalar`` (rel 1e-12)."""
-    from repro.experiments.sweep import sweep_kernel_2d, sweep_kernel_2d_scalar
-
-    results = []
-    for kernel in _kernels(names):
-        fast = sweep_kernel_2d(spec, kernel, cache=False)
-        slow = sweep_kernel_2d_scalar(spec, kernel)
-        results.append(
-            _arrays_equal(
-                "diff.sweep2d_vectorized_vs_scalar",
-                f"{kernel.name}@{spec.name}",
-                (fast.time_s, slow.time_s),
-                (fast.energy_j, slow.energy_j),
-                rtol=SCALAR_PATH_RTOL,
-            )
-        )
-    return results
 
 
 def check_cached_vs_uncached(
@@ -133,31 +87,6 @@ def check_cached_vs_uncached(
         )
     )
     return results
-
-
-def check_forest_parallel_vs_serial(
-    spec: GPUSpec = NVIDIA_V100, n_estimators: int = 8, seed: int = 11
-) -> list[CheckResult]:
-    """Parallel forest training is bitwise-identical to serial training."""
-    from repro.experiments.training import microbench_training_set
-    from repro.ml.forest import RandomForestRegressor
-
-    training = microbench_training_set(spec, freq_stride=24, random_count=2)
-    X = training.X
-    y = np.log(np.maximum(training.energy_j, 1e-300))
-    serial = RandomForestRegressor(
-        n_estimators=n_estimators, seed=seed, n_jobs=1
-    ).fit(X, y)
-    parallel = RandomForestRegressor(
-        n_estimators=n_estimators, seed=seed, n_jobs=2
-    ).fit(X, y)
-    return [
-        _arrays_equal(
-            "diff.forest_parallel_vs_serial",
-            f"{n_estimators} trees on {spec.name} microbenchmarks",
-            (serial.predict(X), parallel.predict(X)),
-        )
-    ]
 
 
 def _tuned_workload(trace) -> tuple[list[dict], float, float]:
@@ -225,10 +154,4 @@ def check_traced_vs_untraced() -> list[CheckResult]:
 
 def run_differential_checks(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
     """The full differential harness on one device."""
-    return (
-        check_sweep_vectorized_vs_scalar(spec)
-        + check_sweep2d_vectorized_vs_scalar(spec)
-        + check_cached_vs_uncached(spec)
-        + check_forest_parallel_vs_serial(spec)
-        + check_traced_vs_untraced()
-    )
+    return check_cached_vs_uncached(spec) + check_traced_vs_untraced()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.models import EnergyModelBundle, build_training_set
 from repro.hw.device import SimulatedGPU
@@ -11,6 +12,11 @@ from repro.kernelir.instructions import InstructionMix
 from repro.kernelir.kernel import KernelIR
 from repro.kernelir.microbench import generate_microbenchmarks
 from repro.sycl.device import set_default_device
+
+#: One commit, one verdict: every property suite draws the same examples on
+#: every run, and nothing is replayed from a local example database.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def pytest_addoption(parser):

@@ -19,7 +19,6 @@ ALL_SUBCOMMANDS = [
     "accuracy",
     "scaling",
     "faults",
-    "perf",
     "fine-vs-coarse",
     "trace",
     "validate",
@@ -28,7 +27,6 @@ ALL_SUBCOMMANDS = [
     "lint",
     "adapt",
     "serve",
-    "loadgen",
     "distributed",
 ]
 
@@ -134,29 +132,6 @@ def test_serve_bad_args_exit_code():
     assert main(["serve", "--partitions", "0"]) == 2
 
 
-def test_loadgen_quick_merges_bench_section(tmp_path, capsys):
-    import json
-
-    bench_path = tmp_path / "BENCH_perf.json"
-    bench_path.write_text(json.dumps({"existing": {"keep": True}}))
-    assert main(["loadgen", "--quick", "--tenants", "4",
-                 "--submissions", "200", "--partitions", "2",
-                 "--cycles", "2", "--json", str(bench_path)]) == 0
-    out = capsys.readouterr().out
-    assert "Loadgen" in out and "Per-tenant accounting" in out
-    doc = json.loads(bench_path.read_text())
-    assert doc["existing"] == {"keep": True}
-    section = doc["loadgen"]
-    assert section["n_tenants"] == 4
-    assert section["drained"] > 0
-    assert len(section["tenants"]) == 4
-    assert all("saved_j" in row for row in section["tenants"])
-
-
-def test_loadgen_bad_args_exit_code():
-    assert main(["loadgen", "--quick", "--tenants", "0", "--json", ""]) == 2
-
-
 # ------------------------------------------------------- smoke: completeness
 
 def test_every_subcommand_is_known():
@@ -178,7 +153,7 @@ def test_no_command_exits_with_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-# ----------------------------------------------------- smoke: faults / perf
+# ------------------------------------------------------------ smoke: faults
 
 def test_faults_zero_rate_writes_chaos_json(tmp_path, capsys):
     out = tmp_path / "chaos.json"
@@ -189,16 +164,6 @@ def test_faults_zero_rate_writes_chaos_json(tmp_path, capsys):
     assert doc["kind"] == "chaos_sweep"
     assert doc["points"][0]["fault_rate"] == 0.0
     assert doc["points"][0]["state"] == "COMPLETED"
-
-
-def test_perf_quick_writes_report_json(tmp_path, capsys):
-    out = tmp_path / "perf.json"
-    assert main(["perf", "--quick", "--json", str(out)]) == 0
-    assert "fast path" in capsys.readouterr().out
-    doc = json.loads(out.read_text())
-    assert doc["sections"]
-    assert {"name", "baseline_s", "fast_s", "speedup"} <= set(doc["sections"][0])
-    assert doc["forest_deterministic"] is True
 
 
 # -------------------------------------------------------------- smoke: trace
@@ -292,23 +257,6 @@ def test_distributed_scalar_engine_matches_mode(capsys):
     assert main(["distributed", "--ranks", "2", "--steps", "1",
                  "--engine", "scalar"]) == 0
     assert "executed via scalar" in capsys.readouterr().out
-
-
-def test_distributed_bench_quick_merges_section(tmp_path, capsys):
-    bench_path = tmp_path / "BENCH_perf.json"
-    bench_path.write_text(json.dumps({"existing": {"keep": True}}))
-    assert main(["distributed", "--bench", "--quick",
-                 "--json", str(bench_path)]) == 0
-    text = capsys.readouterr().out
-    assert "Batched vs scalar parity" in text
-    assert "Weak scaling" in text
-    doc = json.loads(bench_path.read_text())
-    assert doc["existing"] == {"keep": True}
-    section = doc["distributed"]
-    assert section["quick"] is True
-    assert section["base"]["parity_rel_err"] <= 1e-12
-    assert section["base"]["switches_equal"] is True
-    assert all(s["mode"] == "batched" for s in section["scales"])
 
 
 def test_distributed_bad_ranks_exit_code():

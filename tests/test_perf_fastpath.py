@@ -1,17 +1,17 @@
 """Equivalence and correctness of the vectorized fast paths.
 
-Every fast path keeps its scalar reference implementation callable; these
-tests pin the equivalence contract at tier-1 scale:
+Each fast path is pinned to an independent oracle at tier-1 scale:
 
-- vectorized ``TimingModel.sweep`` vs the per-clock scalar loop, across
+- vectorized ``TimingModel.sweep``, ``measure_sweep`` and
+  ``sweep_kernel_2d`` vs :func:`~repro.analysis.certify.static_operating_point`
+  (the scalar ``TimingModel.execute`` + ``PowerModel.power`` physics every
+  launch commits) cell by cell: time, and power × time = energy. Across
   vendors (V100/A100/MI100) and kernel regimes (compute-, memory- and
   divider-bound, high/low locality), at 1e-12 relative tolerance
   (vectorized NumPy pow differs from scalar libm pow by ~1 ulp),
-- ``measure_sweep`` / ``sweep_kernel_2d`` vs their scalar baselines,
-- the ``effective_bandwidth`` array/scalar contract,
-- presorted tree fitting and flattened prediction vs the reference
-  node-walk implementation — **exact** equality,
-- parallel forest training vs serial — **bitwise identical** trees,
+- the ``effective_bandwidth`` array contract,
+- presorted tree/forest fitting and flattened prediction vs the
+  per-node-argsort CART in ``tests/oracles/cart.py`` — **exact** equality,
 - the keyed sweep cache (hits, read-only results, fingerprint semantics),
 - memoization of derived sweep arrays and predictor curves.
 """
@@ -21,7 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.models import measure_sweep, measure_sweep_scalar
+from oracles import cart
+from repro.analysis.certify import static_operating_point
+from repro.core.models import measure_sweep
 from repro.core.predictor import FrequencyPredictor
 from repro.core.sweepcache import (
     CURVE_STATS,
@@ -29,11 +31,7 @@ from repro.core.sweepcache import (
     kernel_fingerprint,
     spec_fingerprint,
 )
-from repro.experiments.sweep import (
-    sweep_kernel,
-    sweep_kernel_2d,
-    sweep_kernel_2d_scalar,
-)
+from repro.experiments.sweep import FrequencySweep2D, sweep_kernel, sweep_kernel_2d
 from repro.hw.specs import AMD_MI100, NVIDIA_A100, NVIDIA_TITAN_X, NVIDIA_V100
 from repro.hw.timing import TimingModel
 from repro.kernelir.instructions import InstructionMix
@@ -74,6 +72,14 @@ KERNEL_MIXES = {
 SPECS = {"v100": NVIDIA_V100, "a100": NVIDIA_A100, "mi100": AMD_MI100}
 
 
+def _oracle_point(spec, kernel, core_mhz, mem_mhz) -> tuple[float, float]:
+    """``(time_s, energy_j)`` at one clock pair from the scalar physics."""
+    time_s, power_w = static_operating_point(
+        spec, kernel, float(core_mhz), float(mem_mhz)
+    )
+    return time_s, power_w * time_s
+
+
 @pytest.mark.parametrize("spec_name", sorted(SPECS))
 @pytest.mark.parametrize("kernel_name", sorted(KERNEL_MIXES))
 class TestVectorizedSweep:
@@ -85,24 +91,27 @@ class TestVectorizedSweep:
         mem = float(spec.default_mem_mhz)
         vec = model.sweep(kernel, freqs, mem)
         assert len(vec) == freqs.size
-        for i, ref in enumerate(model.sweep_scalar(kernel, freqs, mem)):
-            assert vec.time_s[i] == pytest.approx(ref.time_s, rel=RTOL)
-            assert vec.u_core[i] == pytest.approx(ref.u_core, rel=RTOL)
-            assert vec.u_mem[i] == pytest.approx(ref.u_mem, rel=RTOL)
-            assert vec.core_power_utilization[i] == pytest.approx(
-                ref.core_power_utilization, rel=RTOL
-            )
-            at = vec.at(i)
-            assert at.time_s == vec.time_s[i]
+        times = [static_operating_point(spec, kernel, f, mem)[0] for f in freqs]
+        np.testing.assert_allclose(vec.time_s, times, rtol=RTOL, atol=0)
+        for i, f in enumerate(freqs):
+            ref = model.execute(kernel, f, mem)
+            for got, want in (
+                (vec.u_core[i], ref.u_core),
+                (vec.u_mem[i], ref.u_mem),
+                (vec.core_power_utilization[i], ref.core_power_utilization),
+            ):
+                assert got == pytest.approx(want, rel=RTOL, abs=0)
+            assert vec.at(i).time_s == vec.time_s[i]
 
     def test_measure_sweep_matches_scalar(self, spec_name, kernel_name):
         spec = SPECS[spec_name]
         kernel = KERNEL_MIXES[kernel_name]
-        freqs_v, times_v, energies_v = measure_sweep(spec, kernel, cache=False)
-        freqs_s, times_s, energies_s = measure_sweep_scalar(spec, kernel)
-        np.testing.assert_array_equal(freqs_v, freqs_s)
-        np.testing.assert_allclose(times_v, times_s, rtol=RTOL, atol=0)
-        np.testing.assert_allclose(energies_v, energies_s, rtol=RTOL, atol=0)
+        freqs, times, energies = measure_sweep(spec, kernel, cache=False)
+        np.testing.assert_array_equal(freqs, spec.core_freqs_mhz)
+        mem = spec.default_mem_mhz
+        ref = np.array([_oracle_point(spec, kernel, f, mem) for f in freqs])
+        np.testing.assert_allclose(times, ref[:, 0], rtol=RTOL, atol=0)
+        np.testing.assert_allclose(energies, ref[:, 1], rtol=RTOL, atol=0)
 
 
 def test_sweep_broadcasts_2d_grid():
@@ -120,12 +129,23 @@ def test_sweep_broadcasts_2d_grid():
 def test_sweep_kernel_2d_matches_scalar(spec):
     kernel = KERNEL_MIXES["compute"]
     fast = sweep_kernel_2d(spec, kernel, cache=False)
-    ref = sweep_kernel_2d_scalar(spec, kernel)
-    assert fast.time_s.shape == ref.time_s.shape
-    np.testing.assert_allclose(fast.time_s, ref.time_s, rtol=RTOL, atol=0)
-    np.testing.assert_allclose(fast.energy_j, ref.energy_j, rtol=RTOL, atol=0)
-    assert fast.min_energy_config() == ref.min_energy_config()
-    assert fast.max_perf_config() == ref.max_perf_config()
+    ref = np.array([
+        [_oracle_point(spec, kernel, fc, fm) for fc in spec.core_freqs_mhz]
+        for fm in spec.mem_freqs_mhz
+    ])
+    assert fast.time_s.shape == ref.shape[:2]
+    np.testing.assert_allclose(fast.time_s, ref[..., 0], rtol=RTOL, atol=0)
+    np.testing.assert_allclose(fast.energy_j, ref[..., 1], rtol=RTOL, atol=0)
+    oracle = FrequencySweep2D(
+        kernel_name=kernel.name,
+        device_name=spec.name,
+        core_mhz=fast.core_mhz,
+        mem_mhz=fast.mem_mhz,
+        time_s=ref[..., 0],
+        energy_j=ref[..., 1],
+    )
+    assert fast.min_energy_config() == oracle.min_energy_config()
+    assert fast.max_perf_config() == oracle.max_perf_config()
 
 
 def test_effective_bandwidth_contract():
@@ -133,12 +153,12 @@ def test_effective_bandwidth_contract():
     mem = float(NVIDIA_V100.default_mem_mhz)
     arr = model.effective_bandwidth(np.asarray([800.0, 1200.0]), mem)
     assert isinstance(arr, np.ndarray) and arr.shape == (2,)
-    scalar = model.effective_bandwidth_scalar(800.0, mem)
-    assert isinstance(scalar, float)
-    assert scalar == pytest.approx(float(arr[0]), rel=RTOL)
-    # 0-d array input stays an ndarray on the array path
+    # scalar and 0-d inputs stay 0-d ndarrays on the array path
+    scalar = model.effective_bandwidth(800.0, mem)
+    assert isinstance(scalar, np.ndarray) and scalar.shape == ()
+    assert float(scalar) == pytest.approx(float(arr[0]), rel=RTOL)
     zero_d = model.effective_bandwidth(np.float64(800.0), mem)
-    assert float(zero_d) == pytest.approx(scalar, rel=RTOL)
+    assert float(zero_d) == float(scalar)
 
 
 # --------------------------------------------------------------------- ML
@@ -156,16 +176,16 @@ def _training_data(n=400, p=8, seed=5):
 def test_tree_presorted_fit_identical_to_reference():
     X, y = _training_data()
     fast = DecisionTreeRegressor(max_depth=9, min_samples_leaf=2, seed=3).fit(X, y)
-    ref = DecisionTreeRegressor(max_depth=9, min_samples_leaf=2, seed=3)
-    ref.fit_scalar(X, y)
+    ref = cart.fit_tree(
+        DecisionTreeRegressor(max_depth=9, min_samples_leaf=2, seed=3), X, y
+    )
     assert serialize_estimator(fast) == serialize_estimator(ref)
 
 
 def test_tree_presorted_fit_identical_with_feature_subsampling():
     X, y = _training_data()
     fast = DecisionTreeRegressor(max_features=3, seed=7).fit(X, y)
-    ref = DecisionTreeRegressor(max_features=3, seed=7)
-    ref.fit_scalar(X, y)
+    ref = cart.fit_tree(DecisionTreeRegressor(max_features=3, seed=7), X, y)
     assert serialize_estimator(fast) == serialize_estimator(ref)
 
 
@@ -173,47 +193,34 @@ def test_flat_predict_matches_node_walk():
     X, y = _training_data()
     tree = DecisionTreeRegressor(max_depth=8, seed=1).fit(X, y)
     Xq, _ = _training_data(n=257, seed=9)
-    np.testing.assert_array_equal(tree.predict(Xq), tree.predict_scalar(Xq))
+    # rows sitting exactly on split thresholds pin the ``<=`` tie rule
+    flat = tree.flat_tree()
+    split = np.flatnonzero(flat.feature >= 0)
+    on_split = X[split].copy()
+    on_split[np.arange(split.size), flat.feature[split]] = flat.threshold[split]
+    Xq = np.vstack([Xq, on_split])
+    assert np.array_equal(tree.predict(Xq), cart.predict_tree(tree, Xq))
 
 
 def test_flat_predict_after_scalar_fit():
     X, y = _training_data(n=120)
-    tree = DecisionTreeRegressor(max_depth=5, seed=2)
-    tree.fit_scalar(X, y)  # no flat form precomputed; built lazily
-    np.testing.assert_array_equal(tree.predict(X), tree.predict_scalar(X))
-
-
-def test_forest_parallel_fit_bitwise_identical_to_serial():
-    X, y = _training_data(n=300)
-    serial = RandomForestRegressor(n_estimators=8, seed=13, n_jobs=1).fit(X, y)
-    parallel = RandomForestRegressor(n_estimators=8, seed=13, n_jobs=2).fit(X, y)
-    assert serialize_estimator(serial) == serialize_estimator(parallel)
-    np.testing.assert_array_equal(serial.predict(X), parallel.predict(X))
+    # the oracle fit leaves no flat form; predict builds it lazily
+    tree = cart.fit_tree(DecisionTreeRegressor(max_depth=5, seed=2), X, y)
+    assert np.array_equal(tree.predict(X), cart.predict_tree(tree, X))
 
 
 def test_forest_fit_matches_scalar_reference():
     X, y = _training_data(n=300)
-    fast = RandomForestRegressor(n_estimators=6, seed=21, n_jobs=1).fit(X, y)
-    ref = RandomForestRegressor(n_estimators=6, seed=21, n_jobs=1)
-    ref.fit_scalar(X, y)
+    fast = RandomForestRegressor(n_estimators=6, seed=21).fit(X, y)
+    ref = cart.fit_forest(RandomForestRegressor(n_estimators=6, seed=21), X, y)
     assert serialize_estimator(fast) == serialize_estimator(ref)
 
 
 def test_forest_stacked_predict_matches_per_tree_walks():
     X, y = _training_data(n=300)
-    forest = RandomForestRegressor(n_estimators=6, seed=21, n_jobs=1).fit(X, y)
+    forest = RandomForestRegressor(n_estimators=6, seed=21).fit(X, y)
     Xq, _ = _training_data(n=111, seed=4)
-    np.testing.assert_array_equal(forest.predict(Xq), forest.predict_scalar(Xq))
-
-
-def test_forest_env_jobs_knob(monkeypatch):
-    X, y = _training_data(n=200)
-    monkeypatch.setenv("REPRO_JOBS", "2")
-    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-    env_forest = RandomForestRegressor(n_estimators=4, seed=2).fit(X, y)
-    monkeypatch.delenv("REPRO_JOBS")
-    serial = RandomForestRegressor(n_estimators=4, seed=2).fit(X, y)
-    assert serialize_estimator(env_forest) == serialize_estimator(serial)
+    assert np.array_equal(forest.predict(Xq), cart.predict_forest(forest, Xq))
 
 
 # ------------------------------------------------------------------ caching
