@@ -120,10 +120,12 @@ class KernelBatchPayload:
 def board_energies(gpus, t0_s: float, t1_s: float) -> np.ndarray:
     """True board energy (J) per GPU over one accounting window.
 
-    One vectorized timeline reduction per board
-    (:meth:`SimulatedGPU.energy_between_many`); the scalar accounting
-    loop (:meth:`Scheduler._account_energy`) sums the same windows with
-    per-segment Python iteration.
+    One interval-table query per board
+    (:meth:`SimulatedGPU.energy_between_many`): the window integrates
+    against only the timeline intervals it covers, so its cost does not
+    grow with the board's history. The scalar accounting loop
+    (:meth:`Scheduler._account_energy`) integrates the same windows by
+    walking the segments inside them.
     """
     window_t0 = np.asarray([t0_s], dtype=float)
     window_t1 = np.asarray([t1_s], dtype=float)

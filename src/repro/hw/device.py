@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError, ReproError, SimulationError
@@ -54,6 +57,25 @@ class KernelExecutionRecord:
 
 
 _device_ids = itertools.count()
+
+#: Column alignment of the sliced overlap product in
+#: :meth:`SimulatedGPU.energy_between_many`. The BLAS dot-product
+#: reduction order depends on where a term sits in the interval vector, so
+#: a window's slice is widened down to a multiple of this many intervals
+#: and multiplied against the full-length suffix. On a single-threaded
+#: OpenBLAS that reproduces the sums of the full-history product bit for
+#: bit; an alignment of 16 does not.
+_BLAS_ALIGN = 4096
+
+#: One shared tuple per distinct ``(core_mhz, mem_mhz)`` pair committed by
+#: clock plans. Plans repeat a handful of table clocks and every board keeps
+#: its whole clock history, so sharing the tuples bounds that history's
+#: memory; the pairs are validated table clocks, so the map stays small.
+_CLOCK_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+#: Interval buffer of boards never queried; never written, since the first
+#: query replaces it with a buffer of the board's own.
+_NO_INTERVALS = np.empty(0)
 
 
 class SimulatedGPU:
@@ -90,6 +112,13 @@ class SimulatedGPU:
         # Clock history: (time, core_mhz, mem_mhz), ascending in time.
         self._clock_times: list[float] = [self.clock.now]
         self._clock_values: list[tuple[int, int]] = [(self._core_mhz, self._mem_mhz)]
+        # Interval table over that timeline (see _interval_table): sorted
+        # unique breakpoints and the power of each interval, in growable
+        # buffers allocated by the first query. Entries at or after the
+        # dirty horizon are stale.
+        self._edge_buf = self._power_buf = _NO_INTERVALS
+        self._n_edges = 0
+        self._dirty_s = self.clock.now
         self.records: list[KernelExecutionRecord] = []
         #: Count of clock-change API calls (for the §4.4 overhead analysis).
         self.clock_set_calls: int = 0
@@ -183,6 +212,7 @@ class SimulatedGPU:
 
     def _record_clock_change(self) -> None:
         now = self.clock.now
+        self._dirty_s = min(self._dirty_s, now)
         if self._clock_times and self._clock_times[-1] == now:
             self._clock_values[-1] = (self._core_mhz, self._mem_mhz)
         else:
@@ -231,6 +261,7 @@ class SimulatedGPU:
                 f"clock plan starts at {times_s[0]!r}s, before the last "
                 f"recorded change at {self._clock_times[-1]!r}s"
             )
+        pairs = [_CLOCK_PAIRS.setdefault(p, p) for p in pairs]
         if (
             not (self._clock_times and self._clock_times[-1] == times_s[0])
             and all(b > a for a, b in zip(times_s, times_s[1:]))
@@ -245,6 +276,7 @@ class SimulatedGPU:
                 else:
                     self._clock_times.append(float(t))
                     self._clock_values.append(value)
+        self._dirty_s = min(self._dirty_s, float(times_s[0]))
         self._core_mhz, self._mem_mhz = pairs[-1]
         self.clock_set_calls += len(pairs)
 
@@ -266,6 +298,7 @@ class SimulatedGPU:
         self._seg_end.append(end)
         self._seg_power.append(power)
         self._busy_until = end
+        self._dirty_s = min(self._dirty_s, start)
         if end > self.clock.now:
             self.clock.advance_to(end)
         record = KernelExecutionRecord(
@@ -303,6 +336,7 @@ class SimulatedGPU:
         self._seg_end.append(end)
         self._seg_power.append(power)
         self._busy_until = end
+        self._dirty_s = min(self._dirty_s, start)
         if end > self.clock.now:
             self.clock.advance_to(end)
         record = KernelExecutionRecord(
@@ -393,6 +427,7 @@ class SimulatedGPU:
         self._seg_end.extend(ends)
         self._seg_power.extend(powers)
         self._busy_until = ends[-1]
+        self._dirty_s = min(self._dirty_s, starts[0])
 
     # ------------------------------------------------------------------ power
 
@@ -408,15 +443,19 @@ class SimulatedGPU:
         """True (analytic) board energy in joules over ``[t0, t1]``.
 
         Integrates busy segments exactly and fills gaps with idle power at
-        the clocks then in effect.
+        the clocks then in effect. The walk starts at the first segment
+        ending after ``t0`` (found by bisection), so a window costs
+        O(log n + k) for the ``k`` segments and clock changes inside it.
         """
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise SimulationError(f"energy window not finite: [{t0!r}, {t1!r}]")
         if t1 < t0:
             raise SimulationError(f"energy window reversed: [{t0!r}, {t1!r}]")
         energy = 0.0
         cursor = t0
-        for s, e, p in zip(self._seg_start, self._seg_end, self._seg_power):
-            if e <= t0:
-                continue
+        seg_start, seg_end, seg_power = self._seg_start, self._seg_end, self._seg_power
+        for k in range(bisect.bisect_right(seg_end, t0), len(seg_start)):
+            s, e = seg_start[k], seg_end[k]
             if s >= t1:
                 break
             if s > cursor:
@@ -424,25 +463,34 @@ class SimulatedGPU:
                 cursor = min(s, t1)
             lo, hi = max(s, cursor), min(e, t1)
             if hi > lo:
-                energy += p * (hi - lo)
+                energy += seg_power[k] * (hi - lo)
                 cursor = hi
         if cursor < t1:
             energy += self._idle_energy(cursor, t1)
         return energy
 
-    def energy_between_many(self, t0s, t1s) -> "np.ndarray":
+    def energy_between_many(self, t0s, t1s) -> np.ndarray:
         """True board energies (J) over many windows in one vectorized pass.
 
-        The batched counterpart of :meth:`energy_between`: the power
-        timeline is decomposed once into piecewise-constant intervals
-        (busy-segment and clock-change breakpoints), and every window
-        integrates as one overlap product against those intervals. Sums
-        accumulate positive contributions only, so there is no
-        cancellation; agreement with per-window :meth:`energy_between`
-        is within a few ulp per interval.
-        """
-        import numpy as np
+        The batched counterpart of :meth:`energy_between`. Each chunk of
+        windows finds the intervals of the board's interval table
+        (:meth:`_interval_table`) it touches with ``searchsorted`` and
+        integrates as an overlap product against that slice only, so a
+        query costs O(window), not O(history).
 
+        The slice is widened down to a multiple of :data:`_BLAS_ALIGN` and
+        multiplied against the whole rest of the interval vector (zeros
+        outside the windows), with the row chunking of a full-length
+        product. That keeps the BLAS reduction order: with a
+        single-threaded BLAS the result is bitwise the product against the
+        full interval vector. (A multi-threaded BLAS splits long products
+        across threads by shape, so there the two can differ in the last
+        ulp.) Windows that start before the board existed see idle power
+        at its first clocks; the last interval extends past every window.
+        Sums accumulate positive contributions only, so there is no
+        cancellation; agreement with per-window :meth:`energy_between` is
+        within a few ulp per interval.
+        """
         t0 = np.asarray(t0s, dtype=float)
         t1 = np.asarray(t1s, dtype=float)
         if t0.shape != t1.shape:
@@ -451,57 +499,103 @@ class SimulatedGPU:
             )
         if t0.size == 0:
             return np.zeros_like(t0)
+        bad = ~(np.isfinite(t0) & np.isfinite(t1))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise SimulationError(
+                f"energy window not finite: [{t0.flat[i]!r}, {t1.flat[i]!r}]"
+            )
         if np.any(t1 < t0):
             i = int(np.argmax(t1 < t0))
             raise SimulationError(
                 f"energy window reversed: [{t0.flat[i]!r}, {t1.flat[i]!r}]"
             )
-        seg_s = np.asarray(self._seg_start, dtype=float)
-        seg_e = np.asarray(self._seg_end, dtype=float)
-        seg_p = np.asarray(self._seg_power, dtype=float)
-        clk_t = np.asarray(self._clock_times, dtype=float)
-        # Breakpoints: every instant the board's power can change, plus a
-        # floor below every query so the first interval covers all windows.
-        floor = min(float(t0.min()), float(clk_t[0]))
-        edges = np.unique(np.concatenate(([floor], seg_s, seg_e, clk_t)))
-        # Extend the last interval past every query (idle tail).
-        ceil = max(float(t1.max()), float(edges[-1])) + 1.0
-        lo, hi = edges, np.append(edges[1:], ceil)
-        # Power over each interval [lo, hi): the busy segment covering it,
-        # or idle power at the clocks then in effect.
-        if seg_s.size:
-            i = np.searchsorted(seg_s, lo, side="right") - 1
-            ic = np.clip(i, 0, None)
-            busy = (i >= 0) & (lo < seg_e[ic])
-            p_busy = seg_p[ic]
-        else:
-            busy = np.zeros(lo.shape, dtype=bool)
-            p_busy = np.zeros(lo.shape)
-        j = np.maximum(np.searchsorted(clk_t, lo, side="right") - 1, 0)
-        cores = np.asarray([c for c, _ in self._clock_values], dtype=float)[j]
-        mems = np.asarray([m for _, m in self._clock_values], dtype=float)[j]
-        p_idle = np.asarray(
-            self.power_model.power(cores, mems, 0.0, 0.0), dtype=float
-        )
-        p = np.where(busy, p_busy, p_idle)
-        # Window x interval overlap, chunked to bound peak memory.
         flat0, flat1 = t0.reshape(-1), t1.reshape(-1)
+        edges, power = self._interval_table()
+        floor = float(flat0.min())
+        if floor < edges[0]:
+            # Windows before the board existed: one more interval in front,
+            # at idle power with the first recorded clocks.
+            core, mem = self._clock_values[0]
+            p_floor = self.power_model.power(
+                np.asarray([core], dtype=float), np.asarray([mem], dtype=float), 0.0, 0.0
+            )
+            edges = np.concatenate(([floor], edges))
+            power = np.concatenate((p_floor, power))
+        n = edges.size
+        # The last interval extends past every window (idle tail).
+        ceil = max(float(flat1.max()), float(edges[-1])) + 1.0
         out = np.empty(flat0.shape)
-        chunk = max(1, 2_000_000 // max(lo.size, 1))
+        chunk = max(1, 2_000_000 // n)
         for k in range(0, flat0.size, chunk):
             o0 = flat0[k : k + chunk, None]
             o1 = flat1[k : k + chunk, None]
-            overlap = np.minimum(hi[None, :], o1) - np.maximum(lo[None, :], o0)
-            out[k : k + chunk] = np.clip(overlap, 0.0, None) @ p
+            # Intervals [q, r) can touch a window of this chunk; the product
+            # runs over the aligned suffix [q0, n).
+            q = max(int(np.searchsorted(edges, o0.min(), side="left")) - 1, 0)
+            r = int(np.searchsorted(edges, o1.max(), side="right"))
+            q0 = q - q % _BLAS_ALIGN
+            lo = edges[q:r]
+            hi = edges[q + 1 : r + 1] if r < n else np.append(edges[q + 1 :], ceil)
+            overlap = np.zeros((o0.shape[0], n - q0))
+            overlap[:, q - q0 : r - q0] = np.clip(
+                np.minimum(hi[None, :], o1) - np.maximum(lo[None, :], o0), 0.0, None
+            )
+            out[k : k + chunk] = overlap @ power[q0:]
         return out.reshape(t0.shape)
+
+    def _interval_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Breakpoints and per-interval power of the whole timeline.
+
+        ``edges`` are the sorted unique instants the board's power can
+        change (segment starts and ends, clock changes), starting at the
+        board's creation; ``power[i]`` holds over ``[edges[i],
+        edges[i + 1])``, the last interval running on indefinitely. Every
+        timeline mutation lowers the dirty horizon to the earliest instant
+        it touches; this rebuilds only the entries at or after it, from the
+        list tails found by bisection, in amortised O(new entries).
+        """
+        h = self._dirty_s
+        if h != math.inf:
+            # The tails start at the last segment and the last clock change
+            # before the horizon: the state in effect when it is crossed.
+            i = max(bisect.bisect_left(self._seg_start, h) - 1, 0)
+            c = max(bisect.bisect_left(self._clock_times, h) - 1, 0)
+            seg_s = np.asarray(self._seg_start[i:], dtype=float)
+            seg_e = np.asarray(self._seg_end[i:], dtype=float)
+            clk_t = np.asarray(self._clock_times[c:], dtype=float)
+            lo = np.unique(np.concatenate((seg_s, seg_e, clk_t)))
+            lo = lo[np.searchsorted(lo, h) :]
+            # Power over each new interval: the busy segment covering it,
+            # or idle power at the clocks then in effect.
+            j = np.maximum(np.searchsorted(clk_t, lo, side="right") - 1, 0)
+            values = self._clock_values[c:]
+            cores = np.asarray([core for core, _ in values], dtype=float)[j]
+            mems = np.asarray([mem for _, mem in values], dtype=float)[j]
+            power = np.asarray(self.power_model.power(cores, mems, 0.0, 0.0))
+            if seg_s.size:
+                j = np.searchsorted(seg_s, lo, side="right") - 1
+                jc = np.maximum(j, 0)
+                busy = (j >= 0) & (lo < seg_e[jc])
+                power = np.where(busy, np.asarray(self._seg_power[i:])[jc], power)
+            keep = int(np.searchsorted(self._edge_buf[: self._n_edges], h))
+            n = keep + lo.size
+            if n > self._edge_buf.size:
+                self._edge_buf = np.resize(self._edge_buf, n + n // 4)
+                self._power_buf = np.resize(self._power_buf, n + n // 4)
+            self._edge_buf[keep:n] = lo
+            self._power_buf[keep:n] = power
+            self._n_edges = n
+            self._dirty_s = math.inf
+        return self._edge_buf[: self._n_edges], self._power_buf[: self._n_edges]
 
     def _idle_energy(self, t0: float, t1: float) -> float:
         """Idle energy over a gap, split at clock-change boundaries."""
         energy = 0.0
         cursor = t0
         i = bisect.bisect_right(self._clock_times, t0)
-        boundaries = [t for t in self._clock_times[i:] if t < t1] + [t1]
-        for boundary in boundaries:
+        j = bisect.bisect_left(self._clock_times, t1, lo=i)
+        for boundary in self._clock_times[i:j] + [t1]:
             core, mem = self.clocks_at(cursor)
             energy += self.power_model.idle_power(core, mem) * (boundary - cursor)
             cursor = boundary

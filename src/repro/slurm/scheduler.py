@@ -320,11 +320,13 @@ class Scheduler:
         return total
 
     def _account_energy_batched(self, job: Job) -> float:
-        """Job GPU energy as one vectorized timeline reduction per board.
+        """Job GPU energy as one interval-table query per board.
 
         Same window and node-major summation order as
-        :meth:`_account_energy`; per-board values agree with the scalar
-        integration within a few ulp per timeline interval.
+        :meth:`_account_energy`; per-board values
+        (:func:`~repro.engine.payload.board_energies`) agree with the
+        scalar walk within a few ulp per timeline interval, and each costs
+        O(window), not O(board history).
         """
         import numpy as np
 
