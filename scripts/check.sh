@@ -4,8 +4,10 @@
 # [tool.coverage.report] section). CI images without coverage installed
 # still get the full test run — the gate degrades, it never skips tests.
 # After tests: the repo determinism linter (always available — it ships in
-# src/repro), static certification, ruff when installed, the strict
-# validation plane (every section, once) and a default `serve` session.
+# src/repro), ruff when installed and a default `serve` session. Each
+# check runs once: tier-1 already holds the strict validation report
+# (tests/test_validate.py) and every `certify --strict` certificate
+# (tests/test_analysis_certify.py), so neither CLI is re-run here.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -25,18 +27,12 @@ fi
 echo "== determinism lint (repro-synergy lint) =="
 python -m repro.cli lint
 
-echo "== static certification (scenario brackets + DEADLINE demo, strict) =="
-python -m repro.cli certify --strict
-
 if python -c "import ruff" >/dev/null 2>&1 || command -v ruff >/dev/null 2>&1; then
     echo "== ruff (rules pinned in pyproject.toml) =="
     python -m ruff check src tests 2>/dev/null || ruff check src tests
 else
     echo "== ruff not installed; skipping style lint =="
 fi
-
-echo "== validation plane (every section once, strict) =="
-python -m repro.cli validate --strict
 
 echo "== service smoke (serve defaults: 8 tenants x 2k submissions) =="
 python -m repro.cli serve

@@ -17,8 +17,8 @@ same per-stream deadlines (derived from a clean top-clock reference run):
   pin — a full ladder traversal — while missing no deadline.
 
 Everything is a pure function of ``seed`` and virtual time, so the drift
-event and ladder transition logs replay byte-for-byte (checked by the
-``adapt`` validation section and the ``thermal-drift`` golden trace).
+event and ladder transition logs replay byte-for-byte (checked by
+``tests/test_adapt.py`` and the ``thermal-drift`` golden trace).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ Three passes that reason about the system *without executing it*:
   typed :class:`~repro.analysis.certify.PlanCertificate` s that prove or
   refute DEADLINE/SLA feasibility before any virtual-time run.
 
-`repro-synergy certify` drives all three; ``validate --only analysis``
+`repro-synergy certify` drives all three; ``tests/test_analysis_certify.py``
 asserts every certificate brackets the measured engine run.
 """
 

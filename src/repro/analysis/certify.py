@@ -9,7 +9,8 @@ scaler fixes the §4.4 overhead — so the recurrence can be evaluated over
 every operation used (interval ``add``, ``max``, non-negative ``scale``)
 is monotone in both endpoints, walking the recurrence once at the lower
 and once at the upper endpoints yields sound bounds: the virtual-time run
-*must* land inside. ``validate --only analysis`` checks exactly that.
+*must* land inside. ``tests/test_analysis_certify.py`` checks exactly
+that.
 
 Two certificate shapes:
 

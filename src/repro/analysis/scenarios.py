@@ -9,7 +9,8 @@ scenario recipe (launch counts, plan clocks, network constants); the
 measured side is the same virtual-time machinery the golden-trace tests
 snapshot. A bracket failure therefore means the two independent
 derivations of the paper's §7 physics disagree — exactly the class of
-bug ``validate --only analysis`` exists to catch.
+bug ``repro-synergy certify`` and ``tests/test_analysis_certify.py``
+exist to catch.
 
 Bound tightness varies by scenario, deliberately:
 

@@ -17,10 +17,11 @@ exposes the deployment and analysis workflows:
   injected thermal-throttle windows (see ``docs/RESILIENCE.md``),
 - ``trace`` — run a seeded observability scenario and export its Chrome
   trace and metrics documents (see ``docs/OBSERVABILITY.md``),
-- ``validate`` — run the invariant catalog and differential harness over
-  the golden scenarios, including the batched-engine/scalar parity
-  section (``--only engine``; see ``docs/VALIDATION.md``); ``--strict``
-  also fails on warnings and is the CI gate in ``scripts/check.sh``,
+- ``validate`` — run the invariant catalog over real sweeps, power-cap
+  states and the golden scenarios' traces (``--only
+  sweeps|powercap|scenarios``; see ``docs/VALIDATION.md``); ``--strict``
+  also fails on warnings (tier-1 runs the strict report in
+  ``tests/test_validate.py``),
 - ``analyze`` — run the §6.1 static-analysis front end over one kernel
   (``module:fn``, ``file.py:fn`` or a backed kernel name) and print its
   Table-1 features, locality and diagnostics (see ``docs/FRONTEND.md``),
@@ -29,8 +30,8 @@ exposes the deployment and analysis workflows:
 - ``serve`` — run a seeded multi-tenant service session and print
   per-tenant accounting (see ``docs/SERVICE.md``),
 - ``distributed`` — run the distributed command-graph scheduler over a
-  halo-exchange stencil (global energy-target plan, batched or scalar
-  engine; see ``docs/DISTRIBUTED.md``).
+  halo-exchange stencil (global energy-target plan; see
+  ``docs/DISTRIBUTED.md``).
 
 Host wall-time measurement lives outside the package, in the repo
 benchmark ``perfbench/run.py``.
@@ -670,8 +671,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
 
     print(
         f"distributed stencil graph (device={args.device}, "
-        f"ranks={args.ranks}, steps={args.steps}, sla={args.sla}, "
-        f"engine={args.engine}) ...",
+        f"ranks={args.ranks}, steps={args.steps}, sla={args.sla}) ...",
         file=sys.stderr,
     )
     try:
@@ -686,11 +686,8 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
                 spec, graph.rank_kernels(), sla_factor=args.sla,
                 objective="MAX_PERF", cache=True,
             )
-            result = run_graph(graph, comm, plan, engine=args.engine)
-            ref = run_graph(
-                graph, build_comm(spec, args.ranks), baseline,
-                engine=args.engine,
-            )
+            result = run_graph(graph, comm, plan)
+            ref = run_graph(graph, build_comm(spec, args.ranks), baseline)
     except (ConfigurationError, ValidationError) as exc:
         print(f"distributed: {exc}", file=sys.stderr)
         return 2
@@ -739,7 +736,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
             "ranks": args.ranks,
             "steps": args.steps,
             "sla_factor": args.sla,
-            "engine": args.engine,
+            "engine": result.mode,
             "graph": {
                 "nodes": len(graph.nodes), "waves": graph.n_waves, **counts,
             },
@@ -959,8 +956,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the flat metrics document here")
     p.set_defaults(fn=_cmd_trace)
 
-    p = sub.add_parser("validate", help="run the invariant & differential "
-                       "validation plane")
+    p = sub.add_parser("validate", help="run the invariant catalog over "
+                       "sweeps, power caps and golden traces")
     from repro.validate.runner import SECTIONS
 
     p.add_argument("--scenario", nargs="+", choices=sorted(SCENARIOS),
@@ -1030,8 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=4)
     p.add_argument("--sla", type=float, default=1.25,
                    help="global completion budget vs MAX_PERF (default 1.25)")
-    p.add_argument("--engine", choices=("batched", "scalar"),
-                   default="batched")
     p.add_argument("--json", default="",
                    help="write the run summary to this path")
     p.set_defaults(fn=_cmd_distributed)

@@ -160,8 +160,8 @@ class GlobalFrequencyPlan:
     maps ``(rank, kernel_name)`` to ``(mem_mhz, core_mhz)``;
     the ``est_*``/``maxperf_*`` arrays are the planner's serial-compute
     estimates backing its choice (the executed numbers come from the
-    graph executors and are validated against these invariants by
-    ``repro-synergy validate --only distributed``).
+    graph executors; ``tests/test_distributed.py`` checks them against
+    these invariants).
     """
 
     device_name: str
@@ -242,7 +242,7 @@ def plan_global_frequencies(
     MAX_PERF.
 
     Two invariants hold by construction and are re-checked on *executed*
-    graphs by ``repro-synergy validate --only distributed``: total
+    graphs by ``tests/test_distributed.py``: total
     planned energy never exceeds the all-MAX_PERF energy, and every
     command's duration is within ``sla_factor`` of its MAX_PERF duration
     — which, with target-independent communication costs, bounds graph

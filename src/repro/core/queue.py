@@ -143,8 +143,8 @@ class SynergyQueue(Queue):
         :class:`KernelIR`, ``(EnergyTarget, kernel)`` or
         ``(mem_mhz, core_mhz, kernel)`` — or an already-assembled
         :class:`~repro.engine.batch.KernelBatch`. Semantically equivalent
-        to looping :meth:`submit` over the items (and validated to be, by
-        ``repro-synergy validate --only engine``), but resolves clock
+        to looping :meth:`submit` over the items (pinned by the parity
+        properties in ``tests/test_engine.py``), but resolves clock
         plans, switch charges and per-event energy integration in
         broadcasted passes. ``submit_batch([])`` is a well-formed no-op.
         """

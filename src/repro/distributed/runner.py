@@ -11,8 +11,8 @@ Two execution paths share the semantics of a :class:`CommandGraph`:
   communication/compute overlap the graph scheduler exists to expose.
 - :func:`repro.engine.multirank.execute_graph_batched` — the vectorized
   path: the same recurrence evaluated wave-by-wave in NumPy, reusing the
-  batched engine's memoized operating tables. Validated against the
-  scalar path by ``repro-synergy validate --only distributed``.
+  batched engine's memoized operating tables. Parity with the scalar
+  path is pinned by ``tests/test_distributed.py``.
 
 :func:`run_graph` picks the batched path when its exactness
 preconditions hold (no armed fault plane, no power caps, homogeneous
@@ -22,7 +22,7 @@ boards) and otherwise falls back to the scalar reference, mirroring
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,55 +185,35 @@ def run_graph(
     comm: SimulatedComm,
     plan: GlobalFrequencyPlan,
     *,
-    engine: str = "batched",
     switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
 ) -> ExecutionResult:
     """Execute a graph, vectorized when exact bulk replay is possible.
 
-    ``engine="batched"`` uses the wave-vectorized multi-rank engine
-    unless a precondition forces the scalar reference: an attached fault
-    injector (per-event RNG draws must happen in per-event order), a
-    power-capped board (throttle scans are per-event), or heterogeneous
-    board specs. ``engine="scalar"`` always runs the reference.
+    Uses the wave-vectorized multi-rank engine unless a precondition
+    forces the scalar reference: an attached fault injector (per-event
+    RNG draws must happen in per-event order), a power-capped board
+    (throttle scans are per-event), or heterogeneous board specs. The
+    result's ``mode``/``fallback`` say which path ran and why.
 
     The batched path is a pure computation — it leaves the communicator's
     devices untouched — while the scalar path commits events, records and
     clock advances to them, exactly like the single-queue engine's
-    fallback. Differential parity between the two is part of the
-    validation plane.
+    fallback. Batched/scalar parity is pinned by
+    ``tests/test_distributed.py``.
     """
     from repro.engine.multirank import execute_graph_batched
 
-    if engine not in ("batched", "scalar"):
-        raise ValidationError(f"unknown engine {engine!r}")
-    fallback = None
-    if engine == "batched":
-        if comm.injector is not None:
-            fallback = "faults"
-        elif any(
-            g.power_limit_w < g.default_power_limit_w for g in comm.gpus
-        ):
-            fallback = "powercap"
-        elif len({g.spec.name for g in comm.gpus}) > 1:
-            fallback = "heterogeneous"
-        else:
-            return execute_graph_batched(
-                graph, comm, plan, switch_overhead_s=switch_overhead_s
-            )
+    if comm.injector is not None:
+        fallback = "faults"
+    elif any(g.power_limit_w < g.default_power_limit_w for g in comm.gpus):
+        fallback = "powercap"
+    elif len({g.spec.name for g in comm.gpus}) > 1:
+        fallback = "heterogeneous"
+    else:
+        return execute_graph_batched(
+            graph, comm, plan, switch_overhead_s=switch_overhead_s
+        )
     result = run_graph_scalar(
         graph, comm, plan, switch_overhead_s=switch_overhead_s
     )
-    if fallback is not None:
-        result = ExecutionResult(
-            mode="scalar",
-            fallback=fallback,
-            start_s=result.start_s.copy(),
-            finish_s=result.finish_s.copy(),
-            rank_time_s=result.rank_time_s.copy(),
-            rank_energy_j=result.rank_energy_j.copy(),
-            rank_switches=result.rank_switches.copy(),
-            completion_s=result.completion_s,
-            n_kernels=result.n_kernels,
-            n_transfers=result.n_transfers,
-        )
-    return result
+    return replace(result, fallback=fallback)

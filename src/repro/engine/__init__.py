@@ -8,10 +8,10 @@ job payloads plus per-node energy reductions in
 :mod:`repro.engine.payload`.
 
 The per-event scalar path stays intact as the reference implementation:
-``repro-synergy validate --only engine`` runs the differential contract
-(batched vs scalar — identical clock plans, times/energies within
-rel 1e-12, identical counter aggregates), and the golden traces keep
-replaying through the scalar path byte-for-byte.
+``tests/test_engine.py`` pins the batched/scalar contract (identical
+clock plans, times/energies within rel 1e-12, identical counter
+aggregates), and the golden traces keep replaying through the scalar
+path byte-for-byte.
 """
 
 from repro.engine.batch import JobBatch, KernelBatch

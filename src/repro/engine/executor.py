@@ -8,7 +8,8 @@ broadcasted NumPy passes over per-kernel operating-point tables
 (:meth:`TimingModel.sweep` + :meth:`PowerModel.power`, memoized in the
 keyed sweep cache) and commits the device/scaler/queue state in bulk.
 
-Exactness contract (checked by ``repro-synergy validate --only engine``):
+Exactness contract (pinned by the parity properties in
+``tests/test_engine.py``):
 
 - resolved clock plans, switch decisions and throttled operating points
   are *identical* to the scalar path,

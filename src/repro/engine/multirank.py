@@ -25,7 +25,7 @@ agree within rel 1e-12 (the vectorized sweep vs scalar ``execute``, the
 same contract as the single-queue engine). The whole computation is
 *pure* — boards, queues and clocks are left untouched — which is what
 lets the weak-scaling benchmark sweep thousands of ranks in milliseconds
-and the differential harness replay both paths on one communicator.
+and ``tests/test_distributed.py`` replay both paths on one communicator.
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
 """Scheduler-facing pieces of the batched engine.
 
 :class:`KernelBatchPayload` is a job payload (batch-script body) that
-drives every allocated GPU through one :class:`KernelBatch`, either via
-the vectorized :meth:`SynergyQueue.submit_batch` fast path or via the
-per-event scalar reference loop — the two modes the engine differential
-contract compares. :func:`plan_from_sweeps` compiles a
+drives every allocated GPU through one :class:`KernelBatch` via
+:meth:`SynergyQueue.submit_batch`. :func:`plan_from_sweeps` compiles a
 :class:`FrequencyPlan` directly from measured sweeps (the §6.2 search on
 ground truth instead of model predictions), which lets scenarios use
 DEADLINE/SLA targets without training a predictor.
@@ -63,25 +61,21 @@ class KernelBatchPayload:
     """Job payload submitting one kernel batch per allocated GPU.
 
     ``requests`` holds submit-style items (bare :class:`KernelIR`,
-    ``(EnergyTarget, kernel)`` or ``(mem_mhz, core_mhz, kernel)``).
-    With ``batched=True`` each GPU runs through
-    :meth:`SynergyQueue.submit_batch`; with ``batched=False`` through the
-    per-event scalar loop — same requests, same clocks, same physics, so
-    twin clusters running the two modes must agree (the engine
-    differential contract). Returns per-GPU queue summaries.
+    ``(EnergyTarget, kernel)`` or ``(mem_mhz, core_mhz, kernel)``); each
+    GPU runs them through :meth:`SynergyQueue.submit_batch`. Returns
+    per-GPU queue summaries.
     """
 
     requests: tuple
     plan: FrequencyPlan | None = None
     switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S
-    batched: bool = True
 
     def __call__(self, context: JobContext) -> dict[str, object]:
         from repro.engine.batch import KernelBatch
 
         # Assemble the batch once; every allocated GPU replays the same
         # immutable struct-of-arrays submission stream.
-        batch = KernelBatch.from_requests(self.requests) if self.batched else None
+        batch = KernelBatch.from_requests(self.requests)
         summaries = []
         for gpu in context.gpus:
             queue = SynergyQueue(
@@ -91,30 +85,10 @@ class KernelBatchPayload:
                 trace=context.trace,
                 validate=context.validator,
             )
-            if self.batched:
-                queue.submit_batch(batch)
-            else:
-                for item in self.requests:
-                    if isinstance(item, KernelIR):
-                        queue.submit(
-                            lambda h, k=item: h.parallel_for(k.work_items, k)
-                        )
-                    elif len(item) == 2:
-                        target, kernel = item
-                        queue.submit(
-                            target,
-                            lambda h, k=kernel: h.parallel_for(k.work_items, k),
-                        )
-                    else:
-                        mem, core, kernel = item
-                        queue.submit(
-                            mem,
-                            core,
-                            lambda h, k=kernel: h.parallel_for(k.work_items, k),
-                        )
+            queue.submit_batch(batch)
             queue.wait()
             summaries.append(queue.summary())
-        return {"mode": "batched" if self.batched else "scalar", "gpus": summaries}
+        return {"gpus": summaries}
 
 
 def board_energies(gpus, t0_s: float, t1_s: float) -> np.ndarray:

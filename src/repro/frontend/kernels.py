@@ -2,7 +2,7 @@
 
 Each kernel here is the restricted-Python source form whose §6.1 static
 analysis extracts *exactly* the instruction mix declared for it in
-``repro.apps`` — the differential contract the validation plane checks.
+``repro.apps`` — the contract ``tests/test_frontend_kernels.py`` checks.
 The source is the register-allocated form the paper's pass sees: every
 written operation counts, there is no CSE, and loop trip counts multiply
 statically. Where the declared ``locality`` is a calibrated measurement

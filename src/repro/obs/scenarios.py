@@ -169,8 +169,8 @@ def run_multi_tenant_scenario(seed: int = 7) -> TraceSession:
     arrival stream, four drain cycles through the sharded batched
     schedulers, per-tenant metrics absorbed at the end. Small enough
     for a golden snapshot, rich enough to cover every shard and the
-    full admit/drain/account loop (rejection paths are exercised by the
-    larger ``validate --only service`` session).
+    full admit/drain/account loop (rejection paths are exercised by
+    ``tests/test_service.py``).
     """
     from repro.service.loadgen import run_service_session
 

@@ -6,8 +6,8 @@ tenant fleet (:func:`seeded_tenants`), drives a seeded arrival stream
 (exponential inter-arrivals, uniform tenant/kernel choice) through
 admission, and drains in fixed cycles. Everything downstream of the
 ``seed`` argument is deterministic, so two same-seed sessions produce
-byte-identical job stores — the replay contract ``validate --only
-service`` asserts.
+byte-identical job stores — the replay contract
+``tests/test_service.py`` asserts.
 
 The full configuration drives 160k submissions across 64 tenants.
 """

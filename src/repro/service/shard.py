@@ -156,7 +156,7 @@ class PartitionShard:
             )
             for tenant, reqs in queues
         ]
-        jobs = self.scheduler.submit_many(specs, accounting="batched")
+        jobs = self.scheduler.submit_many(specs)
         results = []
         for (tenant, reqs), job in zip(queues, jobs):
             payload_result = job.result or {}

@@ -11,9 +11,9 @@ golden-trace contract.
 
 :func:`fold_events` independently re-derives per-tenant admission state
 (pending counts, accounted energy, quota/budget headroom) from the raw
-event stream; the ``service`` validation section compares that fold
-against the plane's own bookkeeping, which is what makes the log an
-*audit* log rather than a mirror.
+event stream; ``tests/test_service.py`` compares that fold against the
+plane's own bookkeeping, which is what makes the log an *audit* log
+rather than a mirror.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class JobStore:
         """Deterministic serialization (sorted keys, 2-space indent).
 
         Two same-seed sessions must produce identical bytes here — the
-        replay contract asserted by ``validate --only service``.
+        replay contract asserted by ``tests/test_service.py``.
         """
         return dump_json(self.document()).encode()
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Protocol
 
-from repro.common.errors import ConfigurationError, ValidationError
+from repro.common.errors import ConfigurationError
 from repro.faults import NodeFailure
 from repro.obs.session import TraceSession, resolve_trace
 from repro.slurm.cluster import Cluster, Node
@@ -63,6 +63,11 @@ class Scheduler:
         self.max_requeues = int(max_requeues)
         self._job_ids = itertools.count(1)
         self.jobs: dict[int, Job] = {}
+        # Set while submit_many runs its jobs: they account with the
+        # interval-table batch instead of the scalar segment walk. A flag,
+        # not a parameter, so every job still runs through ``submit`` (one
+        # lifecycle, and host-time profilers wrapping it see every job).
+        self._batched_accounting = False
 
     def add_plugin(self, plugin: SchedulerPlugin) -> None:
         """Register a prologue/epilogue plugin."""
@@ -70,21 +75,16 @@ class Scheduler:
 
     # ------------------------------------------------------------- lifecycle
 
-    def submit(self, spec: JobSpec, *, accounting: str = "scalar") -> Job:
+    def submit(self, spec: JobSpec) -> Job:
         """Run a job to completion, requeuing after node failures.
 
         Returns the *last* job of the requeue chain (the one that actually
         completed, failed, or exhausted the requeue budget); earlier
         attempts stay queryable through ``jobs`` / ``requeued_as`` links.
-        ``accounting`` picks the per-job GPU-energy reduction: ``"scalar"``
-        (per-segment Python integration, the reference) or ``"batched"``
-        (one vectorized timeline reduction per board).
+        Per-job GPU energy is the per-segment walk of
+        :meth:`SimulatedGPU.energy_between` over each allocated board.
         """
-        if accounting not in ("scalar", "batched"):
-            raise ConfigurationError(
-                f"accounting must be 'scalar' or 'batched' ({accounting!r})"
-            )
-        job = self._run_one(spec, accounting=accounting)
+        job = self._run_one(spec)
         requeues = 0
         while job.state is JobState.NODE_FAIL and requeues < self.max_requeues:
             if len(self.cluster.idle_nodes()) < spec.n_nodes:
@@ -99,28 +99,21 @@ class Scheduler:
                 self.cluster.clock.now, "slurm", "slurm.requeue", spec.name,
                 prev_job_id=job.job_id,
             )
-            job = self._run_one(spec, requeue_of=job, accounting=accounting)
+            job = self._run_one(spec, requeue_of=job)
         return job
 
-    def submit_many(self, specs, *, accounting: str = "batched") -> list[Job]:
+    def submit_many(self, specs) -> list[Job]:
         """Run a batch of jobs to completion, in submission order.
 
         Accepts a sequence of :class:`JobSpec` or a
-        :class:`~repro.engine.batch.JobBatch`. Each job goes through the
-        same :meth:`submit` core — allocation, requeue lineage, hooks —
-        but energy accounting defaults to the batched per-board reduction.
+        :class:`~repro.engine.batch.JobBatch`. Each job goes through
+        :meth:`submit` — allocation, requeue lineage, hooks — but its
+        energy is one interval-table query per board
+        (:func:`~repro.engine.payload.board_energies`).
         ``submit_many([])`` is a well-formed no-op: it emits an empty
         ``slurm.submit_many`` span and returns no jobs.
         """
         from repro.engine.batch import JobBatch
-
-        # Validate up front: an unknown mode must fail even for an empty
-        # batch, instead of silently returning [] (or surfacing later as
-        # a per-job ConfigurationError from ``submit``).
-        if accounting not in ("scalar", "batched"):
-            raise ValidationError(
-                f"accounting must be 'scalar' or 'batched' ({accounting!r})"
-            )
 
         if isinstance(specs, JobBatch):
             specs = list(specs.specs)
@@ -135,33 +128,32 @@ class Scheduler:
                     now, now, jobs=0, completed=0,
                 )
             return []
-        if not tr.enabled:
-            return [self.submit(spec, accounting=accounting) for spec in specs]
-        with tr.span(
-            self.cluster.clock, "slurm", "slurm.submit_many",
-            f"submit_many[{len(specs)}]", jobs=len(specs),
-        ) as sp:
-            jobs = [self.submit(spec, accounting=accounting) for spec in specs]
-            sp.set(
-                completed=sum(j.state is JobState.COMPLETED for j in jobs)
-            )
-        return jobs
+        outer, self._batched_accounting = self._batched_accounting, True
+        try:
+            if not tr.enabled:
+                return [self.submit(spec) for spec in specs]
+            with tr.span(
+                self.cluster.clock, "slurm", "slurm.submit_many",
+                f"submit_many[{len(specs)}]", jobs=len(specs),
+            ) as sp:
+                jobs = [self.submit(spec) for spec in specs]
+                sp.set(
+                    completed=sum(j.state is JobState.COMPLETED for j in jobs)
+                )
+            return jobs
+        finally:
+            self._batched_accounting = outer
 
-    def _run_one(
-        self,
-        spec: JobSpec,
-        requeue_of: Job | None = None,
-        accounting: str = "scalar",
-    ) -> Job:
+    def _run_one(self, spec: JobSpec, requeue_of: Job | None = None) -> Job:
         """Allocate, run hooks, execute the payload, account, clean up."""
         tr = self.trace
         if not tr.enabled:
-            return self._run_one_inner(spec, requeue_of, accounting)
+            return self._run_one_inner(spec, requeue_of)
         with tr.span(
             self.cluster.clock, "slurm", "slurm.job", spec.name,
             requeue=requeue_of is not None,
         ) as sp:
-            job = self._run_one_inner(spec, requeue_of, accounting)
+            job = self._run_one_inner(spec, requeue_of)
             sp.set(
                 job_id=job.job_id,
                 state=job.state.value,
@@ -170,10 +162,7 @@ class Scheduler:
             return job
 
     def _run_one_inner(
-        self,
-        spec: JobSpec,
-        requeue_of: Job | None = None,
-        accounting: str = "scalar",
+        self, spec: JobSpec, requeue_of: Job | None = None
     ) -> Job:
         job = self._allocate(spec, requeue_of)
         try:
@@ -205,7 +194,7 @@ class Scheduler:
             job.state = JobState.FAILED
             job.error = f"{type(exc).__name__}: {exc}"
         finally:
-            self._complete(job, accounting)
+            self._complete(job)
         return job
 
     # ------------------------------------------------------------ allocation
@@ -254,7 +243,7 @@ class Scheduler:
         job.start_time_s = start
         return job
 
-    def _complete(self, job: Job, accounting: str = "scalar") -> None:
+    def _complete(self, job: Job) -> None:
         """Finish a started job: end sync, accounting, epilogues, release.
 
         Runs in the ``finally`` of the job lifecycle, so cleanup happens
@@ -272,7 +261,7 @@ class Scheduler:
             for gpu in node.gpus:
                 gpu.clock.advance_to(end)
         job.end_time_s = end
-        if accounting == "batched":
+        if self._batched_accounting:
             job.gpu_energy_j = self._account_energy_batched(job)
         else:
             job.gpu_energy_j = self._account_energy(job)

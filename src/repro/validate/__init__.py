@@ -1,23 +1,24 @@
-"""Cross-stack invariant & differential validation plane.
+"""Cross-stack invariant validation plane.
 
 The reproduction's headline claims (Fig. 4 EDP/ED2P minima, §5.2–5.3
-ES_x/PL_x semantics, §2.3 power capping, the §6 model pipeline) all rest
-on physical and algebraic invariants — energy = ∫P dt, a single interior
-energy minimum per kernel, Pareto dominance, power-budget conservation —
-and on the equivalence of paired implementations (batched vs scalar,
-cached vs uncached, traced vs untraced). This package
-encodes both as executable checks:
+ES_x/PL_x semantics, §2.3 power capping) rest on physical and algebraic
+invariants — energy = ∫P dt, a single interior energy minimum per
+kernel, Pareto dominance, power-budget conservation. This package
+encodes them as executable checks:
 
 - :mod:`repro.validate.invariants` — pure invariant checkers over sweep,
   trace and power-cap results,
-- :mod:`repro.validate.differential` — the differential harness replaying
-  seeded workloads through paired implementations,
 - :mod:`repro.validate.inline` — the cheap opt-in ``validate=`` hook wired
   into :class:`~repro.core.queue.SynergyQueue` and
   :meth:`~repro.slurm.cluster.Cluster.build` (no-op by default, like
   ``NULL_TRACE``),
 - :mod:`repro.validate.runner` — the ``repro-synergy validate`` driver
-  covering both golden scenarios.
+  running the catalog over real sweeps, power-cap states and the golden
+  scenarios.
+
+Differential contracts between paired implementations (batched vs
+scalar engine and executors, extracted vs declared kernels, the service
+log audit) live in the pytest suite, each in exactly one test module.
 
 Only the result types and the inline hook are imported eagerly; the
 runner pulls in the experiment stack, which itself imports modules that

@@ -1,11 +1,13 @@
 """The validation driver behind ``repro-synergy validate``.
 
-Runs the invariant catalog and the differential harness over the golden
-scenarios and a fixed seeded case mix, producing one
+Runs the invariant catalog (:mod:`repro.validate.invariants`) over real
+sweeps, power-cap states and the golden scenarios' traces, producing one
 :class:`~repro.validate.result.ValidationReport`. Sections can be selected
-individually (``only=``) so CI smoke runs stay cheap; the default runs
-everything, which is what the ``--strict`` gate in ``scripts/check.sh``
-executes.
+individually (``only=``); the default runs all three. Contracts between
+paired implementations (batched vs scalar engine, extracted vs declared
+kernels, the service log audit, the static certificates) are defined
+once, in the pytest suite; ``repro-synergy certify`` prints the
+certificates.
 """
 
 from __future__ import annotations
@@ -35,10 +37,7 @@ SWEEP_KERNEL_NAMES: tuple[str, ...] = (
 SWEEP_SPECS: tuple[GPUSpec, ...] = (NVIDIA_V100, AMD_MI100)
 
 #: Selectable report sections.
-SECTIONS: tuple[str, ...] = (
-    "sweeps", "powercap", "scenarios", "differential", "frontend", "adapt",
-    "engine", "service", "distributed", "analysis",
-)
+SECTIONS: tuple[str, ...] = ("sweeps", "powercap", "scenarios")
 
 
 def _sweep_section(report: ValidationReport) -> None:
@@ -102,62 +101,6 @@ def _scenario_section(
         report.extend(check_metrics_sanity(session, context=name))
 
 
-def _differential_section(report: ValidationReport) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.differential import run_differential_checks
-
-    with scoped_cache():
-        report.extend(run_differential_checks(NVIDIA_V100))
-
-
-def _frontend_section(report: ValidationReport) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.frontend import run_frontend_checks
-
-    with scoped_cache():
-        report.extend(run_frontend_checks(NVIDIA_V100))
-
-
-def _engine_section(report: ValidationReport) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.engine import run_engine_checks
-
-    with scoped_cache():
-        report.extend(run_engine_checks(NVIDIA_V100))
-
-
-def _service_section(report: ValidationReport, seed: int) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.service import run_service_checks
-
-    with scoped_cache():
-        report.extend(run_service_checks(seed))
-
-
-def _distributed_section(report: ValidationReport) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.distributed import run_distributed_checks
-
-    with scoped_cache():
-        report.extend(run_distributed_checks())
-
-
-def _analysis_section(report: ValidationReport, seed: int) -> None:
-    from repro.validate.analysis import run_analysis_checks
-
-    # No scoped_cache here: each certifier scopes its own cache so the
-    # static and measured sides of one scenario share a warm scope.
-    report.extend(run_analysis_checks(seed))
-
-
-def _adapt_section(report: ValidationReport, seed: int) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.adapt import run_adapt_checks
-
-    with scoped_cache():
-        report.extend(run_adapt_checks(seed))
-
-
 def run_validation(
     scenarios: tuple[str, ...] | list[str] = GOLDEN_SCENARIOS,
     *,
@@ -185,18 +128,4 @@ def run_validation(
         _powercap_section(report, seed)
     if "scenarios" in sections:
         _scenario_section(report, tuple(scenarios), seed)
-    if "differential" in sections:
-        _differential_section(report)
-    if "frontend" in sections:
-        _frontend_section(report)
-    if "adapt" in sections:
-        _adapt_section(report, seed)
-    if "engine" in sections:
-        _engine_section(report)
-    if "service" in sections:
-        _service_section(report, seed)
-    if "distributed" in sections:
-        _distributed_section(report)
-    if "analysis" in sections:
-        _analysis_section(report, seed)
     return report

@@ -207,15 +207,20 @@ def _noisy_deadline_case(draw):
 
 
 class TestDeadlineFeasibilityProperty:
-    @given(_noisy_deadline_case())
+    @given(_noisy_deadline_case(), st.floats(min_value=1.0, max_value=4.0))
     @settings(max_examples=120, deadline=None)
-    def test_never_exceeds_deadline_when_feasible_clock_exists(self, case):
+    def test_never_exceeds_deadline_when_feasible_clock_exists(
+        self, case, looser
+    ):
         """The ladder's selection rule under noise: SLA before saving.
 
         Whatever the noise does to the curves, if *any* clock meets the
         deadline the selected one must, and among the feasible clocks it
         must be the cheapest; with no feasible clock the selection is the
-        fastest clock — never slower than the MAX_PERF plan.
+        fastest clock — never slower than the MAX_PERF plan. Loosening
+        the deadline (by ``looser``) never costs energy, and
+        ``SLA_SLACK(x)`` selects exactly what ``DEADLINE(x × fastest)``
+        does.
         """
         times, energies, deadline_s = case
         idx = deadline_index(times, energies, deadline_s)
@@ -227,6 +232,14 @@ class TestDeadlineFeasibilityProperty:
             assert energies[idx] == min(energies[i] for i in feasible)
         else:
             assert idx == int(np.argmin(t))
+        loose = deadline_index(times, energies, looser * deadline_s)
+        assert energies[loose] <= energies[idx]
+        x = max(1.0, deadline_s / float(t.min()))
+        freqs = list(range(len(times)))
+        sla = SLA_SLACK(x).resolve_index(freqs, times, energies, 0)
+        dl = DEADLINE(x * float(t.min())).resolve_index(freqs, times, energies, 0)
+        assert sla == dl
+        assert times[sla] <= x * float(t.min()) * (1.0 + DEADLINE_RTOL)
 
 
 # ----------------------------------------------------------- controller rails

@@ -2,8 +2,9 @@
 
 The graph walk must bracket the real engine at certification tolerance,
 the plan certifier must prove feasible DEADLINE targets and refute
-impossible ones with a named witness, and the interval/bracket plumbing
-must behave like the closed-interval arithmetic it claims to be.
+impossible ones with a named witness, every golden-scenario certificate
+must bracket its replayed run, and the interval/bracket plumbing must
+behave like the closed-interval arithmetic it claims to be.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ from repro.analysis.certify import (
     static_operating_point,
 )
 from repro.analysis.interval import CONTAINS_RTOL, Interval
-from repro.analysis.scenarios import BracketCheck, ScenarioCertificate
+from repro.analysis.scenarios import (
+    CERTIFIERS,
+    BracketCheck,
+    ScenarioCertificate,
+)
 from repro.apps import get_benchmark
 from repro.common.errors import ValidationError
 from repro.core.compiler import FrequencyPlan, plan_global_frequencies
@@ -179,6 +184,21 @@ def test_deadline_demo_round_trip():
     from repro.analysis.scenarios import deadline_demo
 
     cert_ok, cert_bad = deadline_demo()
-    assert cert_ok.feasible
+    assert cert_ok.feasible and cert_ok.witness is None
     assert not cert_bad.feasible and cert_bad.witness is not None
+    assert any(
+        f"witness kernel {cert_bad.witness!r}" in v for v in cert_bad.violations
+    )
     assert cert_bad.as_dict()["feasible"] is False
+
+
+# ------------------------------------------------------ scenario certificates
+
+
+@pytest.mark.parametrize("name", list(CERTIFIERS))
+def test_scenario_certificate_brackets_the_measured_run(name):
+    """What ``repro-synergy certify --strict`` gates, scenario by scenario."""
+    cert = CERTIFIERS[name](seed=7)
+    assert cert.scenario == name and cert.checks
+    assert [b.format() for b in cert.checks if not b.ok] == []
+    assert [label for label, ok in cert.assertions if not ok] == []

@@ -253,10 +253,17 @@ def test_distributed_run_writes_summary_json(tmp_path, capsys):
     assert doc["saved_j"] >= 0.0
 
 
-def test_distributed_scalar_engine_matches_mode(capsys):
+def test_distributed_scalar_engine_matches_mode(tmp_path, capsys):
+    # The executor is not user-selectable: the summary's "engine" is the
+    # mode that actually ran.
+    with pytest.raises(SystemExit) as exc:
+        main(["distributed", "--engine", "scalar"])
+    assert exc.value.code == 2
+    out = tmp_path / "distributed.json"
     assert main(["distributed", "--ranks", "2", "--steps", "1",
-                 "--engine", "scalar"]) == 0
-    assert "executed via scalar" in capsys.readouterr().out
+                 "--json", str(out)]) == 0
+    assert "executed via batched" in capsys.readouterr().out
+    assert json.loads(out.read_text())["engine"] == "batched"
 
 
 def test_distributed_bad_ranks_exit_code():
@@ -354,10 +361,11 @@ def test_validate_unknown_scenario_exits_2(capsys):
 
 
 def test_validate_unknown_section_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "--only", "nope"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    for section in ("nope", "engine"):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--only", section])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_certify_weak_scaling_writes_report_json(tmp_path, capsys):

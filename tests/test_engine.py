@@ -4,8 +4,10 @@ Unit coverage for the struct-of-arrays batch layer (assembly, empty
 edges, fallback gates, the bulk device APIs) plus a Hypothesis property
 suite driving random kernel mixes, explicit clock pairs and energy
 targets (including DEADLINE and SLA) through ``submit_batch`` and the
-scalar reference loop side by side: element-wise parity of the resulting
-records, and permutation invariance of the aggregate batch energy.
+scalar reference loop side by side, on free and power-capped boards,
+traced or not: element-wise parity of the resulting records, queue
+summaries and traced counters, and permutation invariance of the
+aggregate batch energy.
 """
 
 from __future__ import annotations
@@ -93,6 +95,10 @@ def _assert_twin_parity(scalar_gpu: SimulatedGPU, batched_gpu: SimulatedGPU):
         (r.core_mhz, r.mem_mhz) for r in b
     ]
     assert scalar_gpu._clock_values == batched_gpu._clock_values
+    assert (scalar_gpu.core_mhz, scalar_gpu.mem_mhz) == (
+        batched_gpu.core_mhz, batched_gpu.mem_mhz
+    )
+    assert scalar_gpu.clock_set_calls == batched_gpu.clock_set_calls
     np.testing.assert_allclose(
         [r.start_s for r in a], [r.start_s for r in b], rtol=RTOL
     )
@@ -101,6 +107,9 @@ def _assert_twin_parity(scalar_gpu: SimulatedGPU, batched_gpu: SimulatedGPU):
     )
     np.testing.assert_allclose(
         [r.energy_j for r in a], [r.energy_j for r in b], rtol=RTOL
+    )
+    np.testing.assert_allclose(
+        [r.avg_power_w for r in a], [r.avg_power_w for r in b], rtol=RTOL
     )
     np.testing.assert_allclose(
         scalar_gpu._clock_times, batched_gpu._clock_times, rtol=RTOL
@@ -168,16 +177,6 @@ class TestEmptyBatches:
         assert scheduler.submit_many([]) == []
         assert scheduler.jobs == {}
         assert trace.tracer.span_counts().get("slurm.submit_many") == 1
-
-    def test_submit_rejects_unknown_accounting(self):
-        from repro.slurm.cluster import Cluster
-        from repro.slurm.job import JobSpec
-        from repro.slurm.scheduler import Scheduler
-
-        cluster = Cluster.build(NVIDIA_V100, n_nodes=1, gpus_per_node=1)
-        scheduler = Scheduler(cluster)
-        with pytest.raises(ConfigurationError, match="accounting"):
-            scheduler.submit(JobSpec(name="j", n_nodes=1), accounting="magic")
 
 
 # ---------------------------------------------------------- fallback gates
@@ -269,6 +268,8 @@ class TestBulkDeviceAPIs:
         ]
         batched = queue.profiler.window_energies(result.events, true_value=True)
         np.testing.assert_allclose(batched, per_event, rtol=RTOL)
+        sampled = [queue.kernel_energy_consumption(e) for e in result.events]
+        assert list(queue.profiler.window_energies(result.events)) == sampled
         assert queue.profiler.window_energies([]).shape == (0,)
         other = SynergyQueue(SimulatedGPU(NVIDIA_V100))
         with pytest.raises(ValidationError, match="different device"):
@@ -280,12 +281,21 @@ class TestBulkDeviceAPIs:
 
 class TestSubmitMany:
     def test_batched_accounting_matches_scalar(self, kernel_pool, plan):
+        """``submit_many`` + batch payloads vs scalar ``submit`` jobs."""
         from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
         from repro.slurm.job import JobSpec
         from repro.slurm.plugin import NvGpuFreqPlugin
         from repro.slurm.scheduler import Scheduler
 
         requests = tuple((t, k) for t in (MIN_EDP, MAX_PERF) for k in kernel_pool)
+
+        def scalar_payload(context):
+            summaries = []
+            for gpu in context.gpus:
+                queue = SynergyQueue(gpu, plan=plan, trace=context.trace)
+                _scalar_replay(queue, requests)
+                summaries.append(queue.summary())
+            return {"gpus": summaries}
 
         def run(batched: bool):
             cluster = Cluster.build(
@@ -298,14 +308,14 @@ class TestSubmitMany:
                     n_nodes=1,
                     exclusive=True,
                     gres=frozenset({NVGPUFREQ_GRES}),
-                    payload=KernelBatchPayload(
-                        requests=requests, plan=plan, batched=batched
-                    ),
+                    payload=KernelBatchPayload(requests=requests, plan=plan)
+                    if batched
+                    else scalar_payload,
                 )
                 for i in range(3)
             ]
             if batched:
-                return scheduler.submit_many(specs, accounting="batched")
+                return scheduler.submit_many(specs)
             return [scheduler.submit(spec) for spec in specs]
 
         scalar_jobs = run(False)
@@ -314,12 +324,16 @@ class TestSubmitMany:
         batched_agg = JobBatch.collect(batched_jobs)
         assert list(scalar_agg["state"]) == ["COMPLETED"] * 3
         assert list(batched_agg["state"]) == ["COMPLETED"] * 3
-        np.testing.assert_allclose(
-            batched_agg["gpu_energy_j"], scalar_agg["gpu_energy_j"], rtol=RTOL
-        )
-        np.testing.assert_allclose(
-            batched_agg["end_s"], scalar_agg["end_s"], rtol=RTOL
-        )
+        for key in ("gpu_energy_j", "start_s", "end_s"):
+            np.testing.assert_allclose(
+                batched_agg[key], scalar_agg[key], rtol=RTOL
+            )
+        for a, b in zip(scalar_jobs, batched_jobs):
+            for sa, sb in zip(a.result["gpus"], b.result["gpus"]):
+                assert sa.keys() == sb.keys()
+                np.testing.assert_allclose(
+                    list(sb.values()), list(sa.values()), rtol=RTOL
+                )
 
     def test_board_energies_matches_accounted_energy(self, kernel_pool):
         gpu = SimulatedGPU(NVIDIA_V100)
@@ -356,7 +370,7 @@ class TestAbsorbEngine:
 # -------------------------------------------------------- property suite
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 @st.composite
@@ -387,18 +401,97 @@ def request_streams(draw, explicit_only: bool = False):
     return items
 
 
+#: Counters both paths must agree on when traced.
+TRACED_COUNTERS = ("queue.kernels_executed", "freq.switches", "predict.plan_lookups")
+
+
+def _throttle_limit() -> float:
+    """A cap between idle and peak, far from any modeled operating point."""
+    peak = SimulatedGPU(NVIDIA_V100).default_power_limit_w
+    idle = NVIDIA_V100.idle_power_w
+    return idle + 0.55 * (peak - idle)
+
+
+def _top_clock_stream():
+    from repro.apps import get_benchmark
+
+    return [
+        (NVIDIA_V100.default_mem_mhz, NVIDIA_V100.max_core_mhz,
+         get_benchmark(n).kernel)
+        for n in ("gemm", "sobel3", "median")
+    ]
+
+
 class TestBatchScalarProperties:
-    @given(request_streams())
+    @given(
+        requests=request_streams(),
+        capped=st.booleans(),
+        trace_scalar=st.booleans(),
+        trace_batched=st.booleans(),
+    )
+    @example(
+        requests=_top_clock_stream(), capped=True,
+        trace_scalar=True, trace_batched=True,
+    )
     @settings(max_examples=25, deadline=None)
-    def test_elementwise_parity_with_scalar_path(self, plan, requests):
-        scalar_gpu = SimulatedGPU(NVIDIA_V100)
-        _scalar_replay(SynergyQueue(scalar_gpu, plan=plan), requests)
-        batched_gpu = SimulatedGPU(NVIDIA_V100)
-        batched_queue = SynergyQueue(batched_gpu, plan=plan)
+    def test_elementwise_parity_with_scalar_path(
+        self, plan, requests, capped, trace_scalar, trace_batched
+    ):
+        """Same records, summaries and counters on either path.
+
+        ``capped`` puts both boards under a power limit, so the vectorized
+        throttle scan must pick the per-event clocks; tracing one side only
+        checks that tracing observes the physics without perturbing it.
+        """
+        from repro.analysis.certify import static_operating_point
+
+        limit = _throttle_limit() if capped else None
+
+        def queue(traced: bool) -> SynergyQueue:
+            gpu = SimulatedGPU(NVIDIA_V100)
+            if limit is not None:
+                gpu.set_power_limit(limit, privileged=True)
+            return SynergyQueue(
+                gpu, plan=plan, trace=TraceSession() if traced else None
+            )
+
+        scalar_queue = queue(trace_scalar)
+        _scalar_replay(scalar_queue, requests)
+        batched_queue = queue(trace_batched)
         result = batched_queue.submit_batch(requests)
         batched_queue.wait()
         assert result.fallback is None
+        scalar_gpu, batched_gpu = scalar_queue.gpu, batched_queue.gpu
         _assert_twin_parity(scalar_gpu, batched_gpu)
+        s1, s2 = scalar_queue.summary(), batched_queue.summary()
+        assert s1.keys() == s2.keys()
+        np.testing.assert_allclose(list(s2.values()), list(s1.values()), rtol=RTOL)
+        assert batched_gpu.energy_between(
+            0.0, batched_gpu.clock.now
+        ) == pytest.approx(
+            scalar_gpu.energy_between(0.0, scalar_gpu.clock.now), rel=RTOL
+        )
+        if trace_scalar and trace_batched:
+            for name in TRACED_COUNTERS:
+                assert (
+                    scalar_queue.trace.metrics.counter(name).value
+                    == batched_queue.trace.metrics.counter(name).value
+                ), name
+        if limit is not None:
+            # The cap throttles exactly the launches whose application
+            # clocks would overdraw it.
+            kernels = {k.name: k for k in KernelBatch.from_requests(requests).kernels}
+            over = [
+                static_operating_point(
+                    NVIDIA_V100, kernels[r.kernel_name], core, mem
+                )[1] > limit
+                for r, core, mem in zip(
+                    batched_gpu.records,
+                    result.app_core_mhz.tolist(),
+                    result.app_mem_mhz.tolist(),
+                )
+            ]
+            assert list(result.core_mhz < result.app_core_mhz) == over
 
     @given(request_streams(explicit_only=True), st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)

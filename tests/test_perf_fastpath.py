@@ -234,6 +234,8 @@ def test_sweep_cache_hits_and_freezes():
     f2, t2, e2 = measure_sweep(NVIDIA_V100, kernel, cache=cache)
     assert cache.stats.hits == 1
     assert t1 is t2 and e1 is e2  # shared by reference
+    bare = measure_sweep(NVIDIA_V100, kernel, cache=False)
+    assert all(np.array_equal(a, b) for a, b in zip(bare, (f1, t1, e1)))
     assert not t1.flags.writeable
     with pytest.raises(ValueError):
         t1[0] = 0.0

@@ -116,12 +116,20 @@ def test_quota_conservation(setup, ops):
             assert decision
         assert service.pending_count(tenant.name) <= tenant.quota
     # The fold re-derives state from the log alone and raises if any
-    # admit/drain event ever violated the quota.
+    # admit/drain event ever violated the quota; it must agree with the
+    # plane's own ledger, energy attribution included.
     folded = fold_events(service.store.events)
+    assert set(folded) == {t.name for t in tenants}
     for tenant in tenants:
-        st_ = folded[tenant.name]
-        assert st_["pending"] == service.pending_count(tenant.name)
+        st_, row = folded[tenant.name], service.tenant_report(tenant.name)
+        for key in ("pending", "admitted", "drained", "rejected"):
+            assert st_[key] == row[key], key
         assert st_["admitted"] == st_["pending"] + st_["drained"]
+        assert math.isclose(
+            st_["energy_j"], row["energy_j"], rel_tol=1e-12, abs_tol=1e-12
+        )
+        for lat in (row["p50_latency_s"], row["p99_latency_s"]):
+            assert lat is None or (math.isfinite(lat) and lat >= 0.0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -168,13 +176,14 @@ def test_priority_non_starvation(setup, n_subs, seed):
     ]
     service = _make_service(setup, tenants)
     rng = make_rng(seed)
-    for _ in range(n_subs):
-        service.submit(
-            TENANT_NAMES[int(rng.integers(0, 4))],
-            kernels[int(rng.integers(0, len(kernels)))],
-            0.0,
-        )
-    service.drain(1.0)
+    for cycle in range(2):
+        for _ in range(n_subs):
+            service.submit(
+                TENANT_NAMES[int(rng.integers(0, 4))],
+                kernels[int(rng.integers(0, len(kernels)))],
+                float(cycle),
+            )
+        service.drain(cycle + 1.0)
     folded = fold_events(service.store.events)
     for tenant in tenants:
         assert service.pending_count(tenant.name) == 0
@@ -361,7 +370,7 @@ class TestJobStore:
 # ------------------------------------------------------------------ sessions
 
 class TestSeededSessions:
-    def test_same_seed_sessions_are_byte_identical(self):
+    def test_same_seed_sessions_are_byte_identical(self, tmp_path):
         def run():
             with scoped_cache():
                 return run_service_session(
@@ -371,6 +380,8 @@ class TestSeededSessions:
 
         a, b = run(), run()
         assert a.store.canonical_bytes() == b.store.canonical_bytes()
+        path = a.store.save(tmp_path / "store.json")
+        assert JobStore.load(path).canonical_bytes() == a.store.canonical_bytes()
 
     def test_different_seeds_diverge(self):
         def run(seed):

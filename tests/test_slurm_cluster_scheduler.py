@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import VirtualClock
-from repro.common.errors import ConfigurationError, ValidationError
+from repro.common.errors import ConfigurationError
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import NVIDIA_V100
 from repro.kernelir.instructions import InstructionMix
@@ -127,22 +127,6 @@ class TestScheduler:
         busy = job.nodes[0].gpus[0]
         busy_energy = busy.energy_between(job.start_time_s, job.end_time_s)
         assert job.gpu_energy_j > busy_energy  # idle boards add in
-
-    def test_submit_many_rejects_unknown_accounting(self, scheduler):
-        """Regression: ``accounting=""`` used to be silently accepted.
-
-        An empty batch made the mode string unreachable, so typos (or an
-        empty string) sailed through and only failed — or worse, didn't —
-        on the next non-empty call. The mode is now validated up front,
-        for empty and non-empty batches alike.
-        """
-        spec = JobSpec(name="one", n_nodes=1, payload=_work_payload)
-        for bad in ("", "batchd", "BATCHED"):
-            with pytest.raises(ValidationError):
-                scheduler.submit_many([], accounting=bad)
-            with pytest.raises(ValidationError):
-                scheduler.submit_many([spec], accounting=bad)
-        assert scheduler.submit_many([], accounting="batched") == []
 
     def test_sequential_jobs_get_increasing_ids(self, scheduler):
         a = scheduler.submit(JobSpec(name="a", n_nodes=1, payload=_work_payload))

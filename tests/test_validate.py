@@ -1,11 +1,10 @@
-"""The invariant & differential validation plane (``repro.validate``).
+"""The invariant validation plane (``repro.validate``).
 
 Drives every checker in the catalog over real sweeps, scenarios and
-power-cap states, exercises the differential harness, the opt-in inline
-``validate=`` hooks on the queue and the cluster, and the report/metrics
-export path. Deterministic regression tests for the two §2.3 power-cap
-bugs live here too (the Hypothesis properties are in
-``test_powercap_properties.py``).
+power-cap states, exercises the opt-in inline ``validate=`` hooks on the
+queue and the cluster, and the report/metrics export path. Deterministic
+regression tests for the two §2.3 power-cap bugs live here too (the
+Hypothesis properties are in ``test_powercap_properties.py``).
 """
 
 import math
@@ -29,7 +28,6 @@ from repro.validate import (
     resolve_validator,
     run_validation,
 )
-from repro.validate.differential import run_differential_checks
 from repro.validate.invariants import (
     check_interior_energy_minimum,
     check_metrics_sanity,
@@ -218,16 +216,6 @@ class TestPowercapBugRegressions:
             ]
 
 
-# ------------------------------------------------------------- differential
-
-def test_differential_harness_all_green():
-    with scoped_cache():
-        results = run_differential_checks(NVIDIA_V100)
-    assert results and all(r.passed for r in results), [
-        (r.name, r.detail) for r in results if not r.passed
-    ]
-
-
 # --------------------------------------------------------- inline validator
 
 def _fake_event(**overrides):
@@ -356,8 +344,9 @@ class TestOptInHooks:
 
 class TestRunner:
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown validation sections"):
-            run_validation(only=("nope",))
+        for name in ("nope", "engine"):
+            with pytest.raises(ConfigurationError, match="unknown validation"):
+                run_validation(only=(name,))
 
     def test_full_run_is_strict_clean(self):
         report = run_validation()
@@ -371,22 +360,6 @@ class TestRunner:
         names = {r.name for r in report.results}
         assert any(n.startswith("powercap.") for n in names)
         assert not any(n.startswith("sweep.") for n in names)
-
-    def test_service_section_registered(self):
-        from repro.validate.runner import GOLDEN_SCENARIOS, SECTIONS
-
-        assert "service" in SECTIONS
-        assert "multi-tenant" in GOLDEN_SCENARIOS
-
-    def test_service_section_is_strict_clean(self):
-        report = run_validation(only=("service",))
-        names = {r.name for r in report.results}
-        assert "service.replay_byte_identity" in names
-        assert "service.quota_conservation" in names
-        assert "service.rejections_exercised" in names
-        assert report.ok(strict=True), [
-            (r.name, r.detail) for r in report.results if not r.passed
-        ]
 
 
 def test_absorb_validation_exports_verdict():
