@@ -6,7 +6,7 @@
 # After tests: the repo determinism linter (always available — it ships in
 # src/repro), ruff when installed and a default `serve` session. Each
 # check runs once: tier-1 already holds the strict validation report
-# (tests/test_validate.py) and every `certify --strict` certificate
+# (tests/test_validate.py) and every `certify` certificate
 # (tests/test_analysis_certify.py), so neither CLI is re-run here.
 #
 # Usage: scripts/check.sh [extra pytest args...]

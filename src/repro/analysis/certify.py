@@ -52,7 +52,7 @@ def static_operating_point(
 ) -> tuple[float, float]:
     """Exact ``(time_s, power_w)`` at one clock pair, straight off the models.
 
-    This is the scalar physics the reference executor commits per event
+    This is the scalar physics ``SimulatedGPU.execute`` commits per event
     (no power cap, so the board never throttles off the requested clock).
     """
     timing_model, power_model = models_for(spec)

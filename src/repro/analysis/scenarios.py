@@ -508,7 +508,7 @@ def certify_weak_scaling(spec_name: str = "A100") -> ScenarioCertificate:
         ),
         notes=(
             f"{cert.n_kernels} kernels / {cert.n_nodes} graph nodes over "
-            f"{comm.size} ranks on {spec.name}; engine mode {result.mode}",
+            f"{comm.size} ranks on {spec.name}",
             f"completion {cert.completion_s} <= {cert.sla_factor:g} x "
             f"MAX_PERF baseline {cert.baseline_completion_s:.6e} s",
         ),

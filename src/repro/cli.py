@@ -721,10 +721,8 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     )
     saved = ref.total_energy_j - result.total_energy_j
     frac = saved / ref.total_energy_j if ref.total_energy_j else 0.0
-    mode = result.mode + (f" (fallback: {result.fallback})"
-                          if result.fallback else "")
     print(
-        f"executed via {mode}: completion {result.completion_s:.6f} s "
+        f"completion {result.completion_s:.6f} s "
         f"(MAX_PERF {ref.completion_s:.6f} s, budget "
         f"{args.sla:.2f}x), energy {result.total_energy_j:.2f} J vs "
         f"{ref.total_energy_j:.2f} J at MAX_PERF — saved {saved:.2f} J "
@@ -736,7 +734,6 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
             "ranks": args.ranks,
             "steps": args.steps,
             "sla_factor": args.sla,
-            "engine": result.mode,
             "graph": {
                 "nodes": len(graph.nodes), "waves": graph.n_waves, **counts,
             },
@@ -845,8 +842,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     verdict = "certified" if failures == 0 else f"{failures} FAILURES"
     print(f"certification {verdict} "
-          f"({len(certificates)} scenarios + DEADLINE demo"
-          f"{', strict' if args.strict else ''})")
+          f"({len(certificates)} scenarios + DEADLINE demo)")
     return 0 if failures == 0 else 1
 
 
@@ -990,9 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="scenarios to certify (default: all)")
     p.add_argument("--seed", type=int, default=7, help="scenario seed")
-    p.add_argument("--strict", action="store_true",
-                   help="accepted for symmetry with validate; certificates "
-                   "always gate hard")
     p.add_argument("--json", default=None,
                    help="export all certificates to a JSON file")
     p.set_defaults(fn=_cmd_certify)

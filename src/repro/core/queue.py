@@ -27,7 +27,6 @@ from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import EnergyTarget
 from repro.obs.session import TraceSession, resolve_trace
 from repro.sycl.event import Event
-from repro.validate.inline import InlineValidator, resolve_validator
 from repro.sycl.handler import Handler
 from repro.sycl.queue import CommandGroupFn, Queue
 
@@ -51,7 +50,6 @@ class SynergyQueue(Queue):
         predictor: FrequencyPredictor | None = None,
         switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
         trace: TraceSession | None = None,
-        validate: InlineValidator | bool | None = None,
         owner: str | None = None,
     ) -> None:
         queue_clocks: tuple[int, int] | None = None
@@ -75,8 +73,6 @@ class SynergyQueue(Queue):
         #: attribute so per-tenant energy can be attributed from traces.
         self.owner = owner
         self.trace = resolve_trace(trace)
-        #: Opt-in inline invariant checks (no-op by default, like the trace).
-        self.validator = resolve_validator(validate)
         self._track = f"gpu{self.device.gpu.index}"
         self.scaler = FrequencyScaler(
             self.device.gpu, switch_overhead_s=switch_overhead_s, trace=trace
@@ -195,8 +191,6 @@ class SynergyQueue(Queue):
         if degraded:
             self._degraded_events.add(event)
             self._pending_degraded = False
-        if self.validator.enabled:
-            self.validator.check_kernel_event(self.device.gpu, event)
         tr = self.trace
         if not tr.enabled or event.record is None:
             return

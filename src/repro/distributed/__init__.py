@@ -4,9 +4,8 @@ The Celerity-style layer: buffers carry distributed ranges, submitting a
 command group derives inter-rank dependency edges and halo transfers
 (:mod:`repro.distributed.graph`), per-rank clocks come from a *global*
 energy target (:func:`repro.core.compiler.plan_global_frequencies`), and
-two executors — a per-event scalar reference and a wave-vectorized
-engine — run the graph in virtual time with communication overlapping
-compute (:mod:`repro.distributed.runner`,
+the wave-vectorized multi-rank engine runs the graph in virtual time with
+communication overlapping compute (:func:`repro.distributed.runner.run_graph`,
 :mod:`repro.engine.multirank`).
 """
 
@@ -15,7 +14,6 @@ from repro.distributed.runner import (
     ExecutionResult,
     build_comm,
     run_graph,
-    run_graph_scalar,
 )
 from repro.distributed.stencil import build_stencil_graph
 
@@ -28,6 +26,5 @@ __all__ = [
     "ExecutionResult",
     "build_comm",
     "run_graph",
-    "run_graph_scalar",
     "build_stencil_graph",
 ]

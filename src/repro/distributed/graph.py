@@ -20,10 +20,9 @@ kernel node, and from the declared access modes it derives
 Node ids are assigned in creation order and every dependency points to a
 smaller id, so the id order is a valid topological order. Each builder
 call is one *wave*; within a wave, halo nodes precede kernel nodes. The
-executors (:mod:`repro.distributed.runner`, scalar reference;
-:mod:`repro.engine.multirank`, vectorized) exploit this static wave
-structure. Communication costs are computed once here and shared by both
-execution paths, so their comm timelines agree bitwise.
+executor (:mod:`repro.engine.multirank`) exploits this static wave
+structure. Communication costs are computed once here, so any walk of
+the graph sees bitwise the same comm timeline.
 """
 
 from __future__ import annotations

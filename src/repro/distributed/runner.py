@@ -1,28 +1,19 @@
-"""Graph executors: the scalar reference path and the engine facade.
+"""Graph execution: bare communicators, the result type and the facade.
 
-Two execution paths share the semantics of a :class:`CommandGraph`:
-
-- :func:`run_graph_scalar` — the reference. One
-  :class:`~repro.core.queue.SynergyQueue` per rank; every kernel node is
-  a real per-event submission (explicit clocks from the global plan,
-  redundancy-skipped switches with the §4.4 overhead, per-event energy
-  records). Transfer nodes advance only the dependency frontier — halo
-  traffic rides the network while the GPUs compute, which is exactly the
-  communication/compute overlap the graph scheduler exists to expose.
-- :func:`repro.engine.multirank.execute_graph_batched` — the vectorized
-  path: the same recurrence evaluated wave-by-wave in NumPy, reusing the
-  batched engine's memoized operating tables. Parity with the scalar
-  path is pinned by ``tests/test_distributed.py``.
-
-:func:`run_graph` picks the batched path when its exactness
-preconditions hold (no armed fault plane, no power caps, homogeneous
-boards) and otherwise falls back to the scalar reference, mirroring
-:func:`repro.engine.executor.execute_batch`.
+:func:`run_graph` runs a :class:`CommandGraph` on the wave-vectorized
+multi-rank engine (:func:`repro.engine.multirank.execute_graph`), the
+one graph executor. Kernel nodes take explicit clocks from the global
+plan with redundancy-skipped switches and the §4.4 overhead; transfer
+nodes advance only the dependency frontier — halo traffic rides the
+network while the GPUs compute, which is exactly the
+communication/compute overlap the graph scheduler exists to expose.
+Parity with a per-rank SYnergy-queue walk (``tests/oracles/graph.py``)
+is pinned by ``tests/test_distributed.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +21,7 @@ from repro.common.clock import VirtualClock
 from repro.common.errors import ValidationError
 from repro.core.compiler import GlobalFrequencyPlan
 from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
-from repro.distributed.graph import GATHER, HALO, KERNEL, CommandGraph
+from repro.distributed.graph import CommandGraph
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import GPUSpec
 from repro.mpi.comm import SimulatedComm
@@ -67,12 +58,9 @@ class ExecutionResult:
 
     ``start_s``/``finish_s`` are indexed by node id (for transfer nodes,
     ``start_s`` is the dependency-ready time — transfers never occupy the
-    GPU). ``mode`` is the path that ran; ``fallback`` names the batched
-    precondition that failed when the facade dropped to scalar.
+    GPU).
     """
 
-    mode: str
-    fallback: str | None
     start_s: np.ndarray
     finish_s: np.ndarray
     rank_time_s: np.ndarray
@@ -106,80 +94,6 @@ class ExecutionResult:
         }
 
 
-def run_graph_scalar(
-    graph: CommandGraph,
-    comm: SimulatedComm,
-    plan: GlobalFrequencyPlan,
-    *,
-    switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
-) -> ExecutionResult:
-    """Execute a graph through per-event SYnergy queues (the reference).
-
-    Nodes run in id order (a topological order by construction). A kernel
-    node waits for its dependency frontier, then submits with the global
-    plan's clocks for its rank; the device timeline serializes rank-local
-    work and charges switch overheads exactly as single-device runs do.
-    Gather nodes poll the communicator's fault plane at their ready time,
-    so rank/node failures surface out of collectives here too.
-    """
-    from repro.core.queue import SynergyQueue
-
-    if comm.size != graph.n_ranks:
-        raise ValidationError(
-            f"graph spans {graph.n_ranks} ranks; communicator has {comm.size}"
-        )
-    queues = [
-        SynergyQueue(gpu, switch_overhead_s=switch_overhead_s)
-        for gpu in comm.gpus
-    ]
-    n = len(graph.nodes)
-    start_s = np.zeros(n)
-    finish_s = np.zeros(n)
-    for node in graph.nodes:
-        ready = 0.0
-        for dep in node.deps:
-            if finish_s[dep] > ready:
-                ready = float(finish_s[dep])
-        if node.kind == KERNEL:
-            kernel = node.kernel
-            assert kernel is not None
-            gpu = comm.gpus[node.rank]
-            if ready > gpu.clock.now:
-                gpu.clock.advance_to(ready)
-            mem, core = plan.clocks_for(node.rank, kernel.name)
-            event = queues[node.rank].submit(
-                mem, core, lambda h, k=kernel: h.parallel_for(k.work_items, k)
-            )
-            start_s[node.nid] = event.start_s
-            finish_s[node.nid] = event.end_s
-        else:
-            if node.kind == GATHER and comm.injector is not None:
-                comm._check_faults(ready)
-            start_s[node.nid] = ready
-            finish_s[node.nid] = ready + node.cost_s
-    rank_time = np.asarray([g.clock.now for g in comm.gpus])
-    rank_energy = np.asarray(
-        [q.summary()["kernel_energy_j"] for q in queues]
-    )
-    rank_switches = np.asarray(
-        [q.scaler.switch_count for q in queues], dtype=int
-    )
-    completion = float(max(finish_s.max(initial=0.0), rank_time.max()))
-    counts = graph.counts()
-    return ExecutionResult(
-        mode="scalar",
-        fallback=None,
-        start_s=start_s,
-        finish_s=finish_s,
-        rank_time_s=rank_time,
-        rank_energy_j=rank_energy,
-        rank_switches=rank_switches,
-        completion_s=completion,
-        n_kernels=counts.get(KERNEL, 0),
-        n_transfers=counts.get(HALO, 0) + counts.get(GATHER, 0),
-    )
-
-
 def run_graph(
     graph: CommandGraph,
     comm: SimulatedComm,
@@ -187,33 +101,15 @@ def run_graph(
     *,
     switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
 ) -> ExecutionResult:
-    """Execute a graph, vectorized when exact bulk replay is possible.
+    """Execute a graph on the multi-rank engine, without touching the boards.
 
-    Uses the wave-vectorized multi-rank engine unless a precondition
-    forces the scalar reference: an attached fault injector (per-event
-    RNG draws must happen in per-event order), a power-capped board
-    (throttle scans are per-event), or heterogeneous board specs. The
-    result's ``mode``/``fallback`` say which path ran and why.
-
-    The batched path is a pure computation — it leaves the communicator's
-    devices untouched — while the scalar path commits events, records and
-    clock advances to them, exactly like the single-queue engine's
-    fallback. Batched/scalar parity is pinned by
-    ``tests/test_distributed.py``.
+    Power-capped boards throttle like the single-queue engine's boards,
+    mixed board specs are priced per spec, and the communicator's fault
+    plane is polled at every gather (a dead rank or node raises out of
+    the collective). A board carrying its own fault injector, a clock
+    switch on an API-restricted board, or a clock pair a board does not
+    support is rejected (see :func:`repro.engine.multirank.execute_graph`).
     """
-    from repro.engine.multirank import execute_graph_batched
+    from repro.engine.multirank import execute_graph
 
-    if comm.injector is not None:
-        fallback = "faults"
-    elif any(g.power_limit_w < g.default_power_limit_w for g in comm.gpus):
-        fallback = "powercap"
-    elif len({g.spec.name for g in comm.gpus}) > 1:
-        fallback = "heterogeneous"
-    else:
-        return execute_graph_batched(
-            graph, comm, plan, switch_overhead_s=switch_overhead_s
-        )
-    result = run_graph_scalar(
-        graph, comm, plan, switch_overhead_s=switch_overhead_s
-    )
-    return replace(result, fallback=fallback)
+    return execute_graph(graph, comm, plan, switch_overhead_s=switch_overhead_s)

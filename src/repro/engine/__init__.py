@@ -3,15 +3,20 @@
 Batched scenario execution: many in-flight kernels (and many jobs)
 advance per NumPy pass instead of one per Python call. The struct-of-
 arrays batch representations live in :mod:`repro.engine.batch`, the
-batched advance in :mod:`repro.engine.executor`, and the declarative
-job payloads plus per-node energy reductions in
-:mod:`repro.engine.payload`.
+batched advance in :mod:`repro.engine.executor`, the declarative job
+payloads plus per-node energy reductions in :mod:`repro.engine.payload`,
+and the wave-vectorized command-graph executor in
+:mod:`repro.engine.multirank`.
 
-The per-event scalar path stays intact as the reference implementation:
-``tests/test_engine.py`` pins the batched/scalar contract (identical
-clock plans, times/energies within rel 1e-12, identical counter
-aggregates), and the golden traces keep replaying through the scalar
-path byte-for-byte.
+The per-event ``SynergyQueue.submit`` path stays as the reference
+semantics, and :func:`execute_batch` replays through it when a board has
+an armed fault injector or a restricted board must switch clocks
+(``BatchResult.fallback``). ``tests/test_engine.py`` pins the
+batched/scalar contract (identical clock plans, times/energies within
+rel 1e-12, identical counter aggregates). The golden traces pin both
+paths byte-for-byte: ``single-gpu``, ``slurm-faults`` and
+``thermal-drift`` submit per event, and ``multi-tenant`` drains through
+``submit_batch``.
 """
 
 from repro.engine.batch import JobBatch, KernelBatch

@@ -24,9 +24,10 @@ scalar path: with ``n_i`` the virtual time after submission ``i``,
 monotonicity), so one ``cumsum`` reproduces the scalar clock walk.
 
 When exact per-event semantics cannot be replayed in bulk — an armed
-fault injector, an enabled inline validator, or a clock switch on an
-API-restricted board — the batch falls back to the per-event scalar
-path, which *is* the reference semantics.
+fault injector (its RNG draws happen per event) or a clock switch on an
+API-restricted board (each vendor fails in its own shape) — the batch
+falls back to the per-event scalar path, which *is* the reference
+semantics.
 """
 
 from __future__ import annotations
@@ -185,6 +186,23 @@ def operating_table(gpu, kernel, mem_mhz: float):
     return store.get_or_compute(store.engine_key(spec, kernel, table, mem_mhz), compute)
 
 
+def throttled_index(power_mat, limit_w: float, rows, core_idx) -> np.ndarray:
+    """Core-table index each submission executes at under a power limit.
+
+    ``power_mat`` holds one operating-table power column per row; each
+    submission reads row ``rows[i]`` at application-clock index
+    ``core_idx[i]``. Replicates ``SimulatedGPU._throttled_operating_point``:
+    a kernel that exceeds the limit at its application clock runs at the
+    highest core clock at or below it whose power fits, or at the lowest
+    table clock if nothing fits.
+    """
+    ok = power_mat <= limit_w
+    ranked = np.where(ok, np.arange(power_mat.shape[1])[None, :], -1)
+    best_upto = np.maximum.accumulate(ranked, axis=1)
+    chosen = best_upto[rows, core_idx]
+    return np.where(chosen >= 0, chosen, 0)
+
+
 def _resolve_requests(queue: "SynergyQueue", batch: KernelBatch):
     """Per-submission clock resolution, matching the scalar path's calls.
 
@@ -225,10 +243,6 @@ def _choose_operating_points(
     """Gather per-submission timing/power at the throttled operating point.
 
     Returns ``(exec_core_mhz, time_s, u_core, u_mem, power_w)`` arrays.
-    Replicates ``SimulatedGPU._throttled_operating_point``: at the
-    application clocks the kernel may exceed the board power limit; it
-    then runs at the highest core clock at or below the application
-    clock whose power fits, or the lowest table clock if nothing fits.
     """
     gpu = queue.device.gpu
     spec = gpu.spec
@@ -251,17 +265,11 @@ def _choose_operating_points(
     u_mem_mat = np.stack([t[2] for t in tables])
     power_mat = np.stack([t[3] for t in tables])
 
-    req_idx = resolved.core_index
-    if gpu.power_limit_w >= gpu.default_power_limit_w:
-        # Unconstrained board: modeled power is strictly below the peak
-        # at every operating point, so throttling never engages.
-        chosen = req_idx
-    else:
-        ok = power_mat <= gpu.power_limit_w
-        ranked = np.where(ok, np.arange(len(table))[None, :], -1)
-        best_upto = np.maximum.accumulate(ranked, axis=1)
-        chosen = best_upto[group_of, req_idx]
-        chosen = np.where(chosen >= 0, chosen, 0)
+    chosen = resolved.core_index
+    if gpu.power_limit_w < gpu.default_power_limit_w:
+        # Unconstrained boards skip this: modeled power is strictly below
+        # the peak at every operating point, so throttling never engages.
+        chosen = throttled_index(power_mat, gpu.power_limit_w, group_of, chosen)
     return (
         table[chosen],
         time_mat[group_of, chosen],
@@ -290,9 +298,8 @@ def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
         return _empty_result()
 
     batch.validate_explicit_clocks(gpu.spec)
-    if gpu.fault_injector is not None or queue.validator.enabled:
-        reason = "faults" if gpu.fault_injector is not None else "validator"
-        return _traced_fallback(queue, batch, reason)
+    if gpu.fault_injector is not None:
+        return _traced_fallback(queue, batch, "faults")
 
     resolved = _resolve_requests(queue, batch)
     rb = resolve_effective_clocks(

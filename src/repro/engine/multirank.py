@@ -1,31 +1,36 @@
 """Wave-vectorized execution of distributed command graphs.
 
-The scalar reference (:func:`repro.distributed.runner.run_graph_scalar`)
-walks a :class:`~repro.distributed.graph.CommandGraph` node by node
-through per-rank SYnergy queues. This module evaluates the identical
-recurrence in NumPy, one *wave* (builder call) at a time:
+The one executor behind :func:`repro.distributed.runner.run_graph`. A
+:class:`~repro.distributed.graph.CommandGraph` means what a per-rank walk
+through SYnergy queues would do (node by node, explicit clocks from the
+global plan); this module evaluates that recurrence in NumPy, one *wave*
+(builder call) at a time:
 
-- per-rank clock walk, in the scalar path's exact float order —
+- per-rank clock walk, in the per-event path's exact float order —
   ``start = max(rank_clock, ready)``, ``rank_clock' = start +
   max(duration, OH·switch)`` (``a + max(b, c)`` equals
   ``max(a + b, a + c)`` bitwise by monotonicity of ``+``),
 - the dependency frontier as one finish array indexed by node id,
   gathered through per-wave padded dependency matrices,
 - kernel durations/powers from the batched engine's memoized operating
-  tables (:func:`repro.engine.executor.operating_table`) — the same
-  columns the single-queue fast path uses, so sweep-cache entries are
-  shared,
+  tables (:func:`repro.engine.executor.operating_table`), keyed per board
+  spec, so mixed-spec communicators price each rank off its own board and
+  sweep-cache entries are shared with the single-queue fast path,
+- power-capped boards throttled by the single-queue engine's rule
+  (:func:`repro.engine.executor.throttled_index`),
 - switch decisions replayed statically: the per-rank clock-request
   sequence is known at graph compile time, so redundancy skipping is a
-  pure prefix walk.
+  pure prefix walk,
+- the communicator's fault plane polled at every gather, in node order,
+  so rank/node failures surface out of collectives.
 
-Communication costs were computed once at graph build and are shared
-with the scalar path, so comm timelines agree bitwise; kernel physics
-agree within rel 1e-12 (the vectorized sweep vs scalar ``execute``, the
-same contract as the single-queue engine). The whole computation is
-*pure* — boards, queues and clocks are left untouched — which is what
-lets the weak-scaling benchmark sweep thousands of ranks in milliseconds
-and ``tests/test_distributed.py`` replay both paths on one communicator.
+Communication costs were computed once at graph build, so comm timelines
+match the per-rank walk bitwise; kernel physics agree within rel 1e-12
+(the vectorized sweep vs scalar ``execute``, the same contract as the
+single-queue engine). ``tests/oracles/graph.py`` keeps the per-rank walk
+as the parity oracle. The whole computation is *pure* — boards, queues
+and clocks are left untouched — which is what lets the weak-scaling
+benchmark sweep thousands of ranks in milliseconds.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from repro.common.errors import ValidationError
 from repro.core.compiler import GlobalFrequencyPlan
 from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
 from repro.distributed.graph import GATHER, HALO, KERNEL, CommandGraph
-from repro.engine.executor import operating_table
+from repro.engine.executor import operating_table, throttled_index
 
 
 def _dep_matrix(nodes, sentinel: int) -> np.ndarray:
@@ -50,7 +55,7 @@ def _dep_matrix(nodes, sentinel: int) -> np.ndarray:
     return mat
 
 
-def execute_graph_batched(
+def execute_graph(
     graph: CommandGraph,
     comm,
     plan: GlobalFrequencyPlan,
@@ -59,9 +64,13 @@ def execute_graph_batched(
 ):
     """Evaluate a command graph in bulk; returns an ``ExecutionResult``.
 
-    Preconditions (the :func:`repro.distributed.runner.run_graph` facade
-    enforces them and falls back to the scalar reference otherwise): no
-    fault injector, no power caps, homogeneous board specs.
+    Rejects, with :class:`ValidationError` naming the board, a board with
+    its own fault injector (its per-event draws — thermal throttles,
+    clock-set failures — have no wave form; communicator faults go on
+    ``build_comm(injector=)``) and a clock switch on an API-restricted
+    board. The first kernel node whose planned clock pair its board does
+    not support raises :class:`~repro.common.errors.ConfigurationError`
+    from ``spec.validate_clocks``, as a per-event submit does.
     """
     from repro.distributed.runner import ExecutionResult
 
@@ -70,38 +79,57 @@ def execute_graph_batched(
         raise ValidationError(
             f"graph spans {graph.n_ranks} ranks; communicator has {comm.size}"
         )
-    spec = gpus[0].spec
-    core_index = {int(f): i for i, f in enumerate(spec.core_freqs_mhz)}
+    for rank, gpu in enumerate(gpus):
+        if gpu.fault_injector is not None:
+            raise ValidationError(
+                f"rank {rank}'s board ({gpu.spec.name} gpu{gpu.index}) has its "
+                "own fault injector; graph runs take faults from the "
+                "communicator only"
+            )
     oh = float(switch_overhead_s)
 
     # --- static precompute: per-kernel-node physics and switch flags ----
     n = len(graph.nodes)
-    kernel_nodes = [node for node in graph.nodes if node.kind == KERNEL]
-    tables: dict[tuple[int, int], tuple] = {}
+    tables: dict[tuple[int, int, str], tuple] = {}
+    core_of: dict[tuple[str, int, int], int] = {}
     time_of = np.zeros(n)
     power_of = np.zeros(n)
     switch_of = np.zeros(n, dtype=bool)
     current = [(g.core_mhz, g.mem_mhz) for g in gpus]
-    for node in kernel_nodes:
+    cap_of = [
+        g.power_limit_w if g.power_limit_w < g.default_power_limit_w else None
+        for g in gpus
+    ]
+    for node in graph.kernel_nodes():
+        rank = node.rank
         kernel = node.kernel
-        mem, core = plan.clocks_for(node.rank, kernel.name)
-        key = (id(kernel), mem)
+        gpu = gpus[rank]
+        spec = gpu.spec
+        mem, core = plan.clocks_for(rank, kernel.name)
+        ckey = (spec.name, mem, core)
+        ci = core_of.get(ckey)
+        if ci is None:
+            spec.validate_clocks(mem, core)
+            ci = core_of[ckey] = spec.core_freqs_mhz.index(core)
+        key = (id(kernel), mem, spec.name)
         tab = tables.get(key)
         if tab is None:
-            tab = operating_table(gpus[node.rank], kernel, float(mem))
-            tables[key] = tab
-        try:
-            ci = core_index[int(core)]
-        except KeyError:
-            raise ValidationError(
-                f"core clock {core} MHz not in {spec.name}'s table"
-            ) from None
+            tab = tables[key] = operating_table(gpu, kernel, float(mem))
+        cap = cap_of[rank]
+        if cap is not None:
+            ci = int(throttled_index(tab[3][None, :], cap, [0], [ci])[0])
         time_of[node.nid] = tab[0][ci]
         power_of[node.nid] = tab[3][ci]
         # Redundancy-skipped switch walk, replayed statically: the scaler
         # changes clocks only when the request differs from the board.
-        switch_of[node.nid] = (core, mem) != current[node.rank]
-        current[node.rank] = (core, mem)
+        if (core, mem) != current[rank]:
+            if gpu.api_restricted:
+                raise ValidationError(
+                    f"rank {rank}'s board ({spec.name} gpu{gpu.index}) is "
+                    f"API-restricted; the plan switches it to {mem}/{core} MHz"
+                )
+            switch_of[node.nid] = True
+            current[rank] = (core, mem)
 
     # --- the wave walk ---------------------------------------------------
     finish = np.zeros(n + 1)  # slot n: padding sentinel, reads 0.0
@@ -109,6 +137,7 @@ def execute_graph_batched(
     clock_now = np.asarray([g.clock.now for g in gpus])
     rank_energy = np.zeros(comm.size)
     rank_switches = np.zeros(comm.size, dtype=np.int64)
+    injector = comm.injector
     i = 0
     nodes = graph.nodes
     while i < n:
@@ -150,6 +179,8 @@ def execute_graph_batched(
             np.add.at(rank_switches, ranks, sw)
         for node in others:  # gather waves are singleton
             ready = float(finish[list(node.deps)].max()) if node.deps else 0.0
+            if injector is not None:
+                comm._check_faults(ready)
             start_s[node.nid] = ready
             finish[node.nid] = ready + node.cost_s
         i = j
@@ -160,8 +191,6 @@ def execute_graph_batched(
         max(finish_s.max(initial=0.0), clock_now.max(initial=0.0))
     )
     return ExecutionResult(
-        mode="batched",
-        fallback=None,
         start_s=start_s,
         finish_s=finish_s,
         rank_time_s=clock_now,

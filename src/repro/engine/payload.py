@@ -83,7 +83,6 @@ class KernelBatchPayload:
                 plan=self.plan,
                 switch_overhead_s=self.switch_overhead_s,
                 trace=context.trace,
-                validate=context.validator,
             )
             queue.submit_batch(batch)
             queue.wait()

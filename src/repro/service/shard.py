@@ -60,7 +60,6 @@ class TenantBatchPayload:
                 plan=self.plan,
                 switch_overhead_s=self.switch_overhead_s,
                 trace=context.trace,
-                validate=context.validator,
                 owner=self.tenant,
             )
             result = queue.submit_batch(batch)

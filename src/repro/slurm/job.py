@@ -75,9 +75,6 @@ class JobContext:
     #: Observability session of the scheduler that launched the job (a
     #: TraceSession, possibly the shared no-op); typed loosely like clock.
     trace: object = None
-    #: Inline invariant hook of the cluster that runs the job (an
-    #: InlineValidator, possibly the shared no-op); typed loosely too.
-    validator: object = None
 
     @property
     def gpus(self):

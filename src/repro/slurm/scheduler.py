@@ -182,7 +182,6 @@ class Scheduler:
                     nodes=job.nodes,
                     clock=self.cluster.clock,
                     trace=self.trace,
-                    validator=self.cluster.validator,
                 )
                 job.result = spec.payload(context)
             job.state = JobState.COMPLETED

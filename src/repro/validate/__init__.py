@@ -8,45 +8,26 @@ encodes them as executable checks:
 
 - :mod:`repro.validate.invariants` — pure invariant checkers over sweep,
   trace and power-cap results,
-- :mod:`repro.validate.inline` — the cheap opt-in ``validate=`` hook wired
-  into :class:`~repro.core.queue.SynergyQueue` and
-  :meth:`~repro.slurm.cluster.Cluster.build` (no-op by default, like
-  ``NULL_TRACE``),
 - :mod:`repro.validate.runner` — the ``repro-synergy validate`` driver
   running the catalog over real sweeps, power-cap states and the golden
   scenarios.
 
-Differential contracts between paired implementations (batched vs
-scalar engine and executors, extracted vs declared kernels, the service
-log audit) live in the pytest suite, each in exactly one test module.
-
-Only the result types and the inline hook are imported eagerly; the
-runner pulls in the experiment stack, which itself imports modules that
-carry the inline hook — importing it here would be circular.
+The plane sits on top of the runtime it checks: nothing below
+:mod:`repro.cli` imports it. Differential contracts between paired
+implementations (batched vs scalar engine, the graph executor vs its
+per-rank oracle, extracted vs declared kernels, the service log audit)
+live in the pytest suite, each in exactly one test module.
 """
 
 from __future__ import annotations
 
-from repro.validate.inline import (
-    NULL_VALIDATOR,
-    InlineValidator,
-    resolve_validator,
-)
 from repro.validate.result import CheckResult, Severity, ValidationReport
+from repro.validate.runner import run_validation
 
 __all__ = [
     "CheckResult",
-    "InlineValidator",
-    "NULL_VALIDATOR",
     "Severity",
     "ValidationReport",
-    "resolve_validator",
     "run_validation",
 ]
 
-
-def run_validation(*args, **kwargs):
-    """Run the full validation plane (lazy import of the runner)."""
-    from repro.validate.runner import run_validation as _run
-
-    return _run(*args, **kwargs)

@@ -197,7 +197,7 @@ def test_deadline_demo_round_trip():
 
 @pytest.mark.parametrize("name", list(CERTIFIERS))
 def test_scenario_certificate_brackets_the_measured_run(name):
-    """What ``repro-synergy certify --strict`` gates, scenario by scenario."""
+    """What ``repro-synergy certify`` gates, scenario by scenario."""
     cert = CERTIFIERS[name](seed=7)
     assert cert.scenario == name and cert.checks
     assert [b.format() for b in cert.checks if not b.ok] == []

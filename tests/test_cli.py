@@ -243,7 +243,7 @@ def test_distributed_run_writes_summary_json(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "Per-rank plan & execution" in text
     assert "Command graph" in text
-    assert "executed via batched" in text
+    assert "completion" in text and "saved" in text
     doc = json.loads(out.read_text())
     assert doc["ranks"] == 4
     assert doc["graph"]["nodes"] > 0
@@ -253,17 +253,15 @@ def test_distributed_run_writes_summary_json(tmp_path, capsys):
     assert doc["saved_j"] >= 0.0
 
 
-def test_distributed_scalar_engine_matches_mode(tmp_path, capsys):
-    # The executor is not user-selectable: the summary's "engine" is the
-    # mode that actually ran.
+def test_distributed_executor_is_not_selectable(tmp_path):
+    # One graph executor: no flag picks it and the summary names none.
     with pytest.raises(SystemExit) as exc:
         main(["distributed", "--engine", "scalar"])
     assert exc.value.code == 2
     out = tmp_path / "distributed.json"
     assert main(["distributed", "--ranks", "2", "--steps", "1",
                  "--json", str(out)]) == 0
-    assert "executed via batched" in capsys.readouterr().out
-    assert json.loads(out.read_text())["engine"] == "batched"
+    assert "engine" not in json.loads(out.read_text())
 
 
 def test_distributed_bad_ranks_exit_code():
@@ -391,3 +389,11 @@ def test_certify_unknown_scenario_exits_2(capsys):
         main(["certify", "--scenario", "warp-drive"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_certify_has_no_strict_flag(capsys):
+    # Certificates always gate hard; there is no softer mode to opt out of.
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--strict"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err

@@ -5,9 +5,10 @@ dependency-edge derivation (RAW through halo pulls, WAR against
 same-wave neighbour transfers, WAW through last writers, gather
 collectives), the global frequency planner (rank-uniform clocks, the
 critical path at MAX_PERF, slack ranks downclocked inside the SLA
-budget), executor parity between the wave-vectorized engine and the
-per-event scalar reference, the fallback preconditions of the facade,
-and the retroactive per-rank trace tracks.
+budget), parity between the wave-vectorized executor and the per-rank
+queue walk in ``tests/oracles/graph.py`` (plain, power-capped and
+fault-armed communicators), the boards it rejects, and the retroactive
+per-rank trace tracks.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from repro.distributed import (
     build_comm,
     build_stencil_graph,
     run_graph,
-    run_graph_scalar,
 )
+from repro.faults import RankFailure
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hw.specs import get_spec
 from repro.sycl import DistributedAccess, DistributedBuffer, DistributedRange
 from repro.sycl.accessor import AccessMode
+
+from oracles import graph as oracle
 
 pytestmark = pytest.mark.distributed
 
@@ -211,7 +214,7 @@ class TestGraphDerivation:
             result = run_graph(stencil, comm, plan)
         assert HALO not in stencil.counts()
         assert plan.critical_rank == 0 and plan.rank_targets == ("MAX_PERF",)
-        assert result.mode == "batched" and result.completion_s > 0.0
+        assert result.completion_s > 0.0
 
     def test_idle_ranks_skip_node_creation(self):
         g = _graph(4)
@@ -341,28 +344,70 @@ class TestGlobalPlanner:
 # ---------------------------------------------------------------- executors
 
 
+def _assert_parity(batched, scalar) -> None:
+    for field in ("start_s", "finish_s", "rank_energy_j", "rank_time_s"):
+        np.testing.assert_allclose(
+            getattr(batched, field), getattr(scalar, field), rtol=RTOL
+        )
+    assert batched.rank_switches.tolist() == scalar.rank_switches.tolist()
+    assert batched.completion_s == pytest.approx(
+        scalar.completion_s, rel=RTOL
+    )
+
+
+def _half_capped(n_ranks: int):
+    comm = build_comm(SPEC, n_ranks)
+    for gpu in comm.gpus[::2]:
+        gpu.set_power_limit(
+            SPEC.idle_power_w
+            + 0.5 * (gpu.default_power_limit_w - SPEC.idle_power_w),
+            privileged=True,
+        )
+    return comm
+
+
 class TestExecutors:
     def test_batched_scalar_parity(self, stencil):
         comm, graph, plan, _ = stencil
-        batched = run_graph(graph, comm, plan)  # pure — boards untouched
-        scalar = run_graph_scalar(graph, comm, plan)
-        assert batched.mode == "batched" and batched.fallback is None
-        np.testing.assert_allclose(
-            batched.start_s, scalar.start_s, rtol=RTOL
+        free = run_graph(graph, comm, plan)  # pure — boards untouched
+        _assert_parity(free, oracle.run_graph(graph, comm, plan))
+
+    def test_powercap_matches_oracle(self, stencil):
+        comm, graph, plan, _ = stencil
+        free = run_graph(graph, comm, plan)
+        capped = run_graph(graph, _half_capped(graph.n_ranks), plan)
+        _assert_parity(
+            capped, oracle.run_graph(graph, _half_capped(graph.n_ranks), plan)
         )
-        np.testing.assert_allclose(
-            batched.finish_s, scalar.finish_s, rtol=RTOL
-        )
-        np.testing.assert_allclose(
-            batched.rank_energy_j, scalar.rank_energy_j, rtol=RTOL
-        )
-        np.testing.assert_allclose(
-            batched.rank_time_s, scalar.rank_time_s, rtol=RTOL
-        )
-        assert batched.rank_switches.tolist() == scalar.rank_switches.tolist()
-        assert batched.completion_s == pytest.approx(
-            scalar.completion_s, rel=RTOL
-        )
+        # The caps really throttle: the same plan uncapped costs more.
+        assert capped.total_energy_j < free.total_energy_j
+
+    def test_rank_fail_plans_match_oracle(self, stencil):
+        _, graph, plan, _ = stencil
+        outcomes = []
+        for seed in range(6):
+            def comm(seed=seed):
+                fault_plan = FaultPlan(
+                    seed=seed,
+                    specs=(FaultSpec(site="mpi.rank_fail", probability=0.04),),
+                )
+                return build_comm(
+                    SPEC, graph.n_ranks, injector=fault_plan.injector()
+                )
+
+            try:
+                batched = run_graph(graph, comm(), plan)
+            except RankFailure as exc:
+                with pytest.raises(RankFailure) as ref:
+                    oracle.run_graph(graph, comm(), plan)
+                assert ref.value.rank == exc.rank
+                assert ref.value.t == pytest.approx(exc.t, rel=RTOL)
+                outcomes.append("failed")
+            else:
+                _assert_parity(batched, oracle.run_graph(graph, comm(), plan))
+                outcomes.append("completed")
+        # The seeds exercise both outcomes.
+        assert set(outcomes) == {"failed", "completed"}
 
     def test_rank_uniform_plan_costs_one_switch_per_rank(self, stencil):
         comm, graph, plan, _ = stencil
@@ -391,42 +436,37 @@ class TestExecutors:
         with pytest.raises(ValidationError):
             run_graph(graph, small, plan)
         with pytest.raises(ValidationError):
-            run_graph_scalar(graph, small, plan)
+            oracle.run_graph(graph, small, plan)
 
-    def test_fault_injector_forces_scalar_fallback(self, stencil):
-        _, graph, plan, _ = stencil
-        plan_f = FaultPlan(
-            seed=3,
-            specs=(FaultSpec(site="mpi.rank_fail", probability=1e-9),),
-        )
-        comm = build_comm(SPEC, graph.n_ranks, injector=plan_f.injector())
-        result = run_graph(graph, comm, plan)
-        assert result.mode == "scalar" and result.fallback == "faults"
-
-    def test_powercap_forces_scalar_fallback(self, stencil):
-        _, graph, plan, _ = stencil
-        comm = build_comm(SPEC, graph.n_ranks)
-        gpu = comm.gpus[0]
-        gpu.set_power_limit(
-            SPEC.idle_power_w
-            + 0.5 * (gpu.default_power_limit_w - SPEC.idle_power_w),
-            privileged=True,
-        )
-        result = run_graph(graph, comm, plan)
-        assert result.mode == "scalar" and result.fallback == "powercap"
-
-    def test_heterogeneous_boards_force_scalar_fallback(self, stencil):
-        _, graph, plan, _ = stencil
-        comm = build_comm(SPEC, graph.n_ranks)
+    @pytest.mark.parametrize("case", ["mixed_spec", "board_injector", "restricted"])
+    def test_unsupported_boards_rejected(self, stencil, case):
         from repro.common.clock import VirtualClock
         from repro.hw.device import SimulatedGPU
 
-        comm.gpus[-1] = SimulatedGPU(get_spec("V100"), clock=VirtualClock())
-        # The facade must drop to the per-event reference: the batched
-        # path prices every rank off the lead board's table and would
-        # silently misprice the V100. The scalar queue proves it ran by
-        # rejecting the A100-only clock plan on the mismatched board.
-        with pytest.raises(ConfigurationError, match="V100"):
+        _, graph, plan, _ = stencil
+        comm = build_comm(SPEC, graph.n_ranks)
+        if case == "mixed_spec":
+            # Each rank is priced off its own board: the A100-only clock
+            # plan is invalid on the V100, exactly as a per-event submit
+            # rejects it.
+            comm.gpus[-1] = SimulatedGPU(get_spec("V100"), clock=VirtualClock())
+            expected, match = ConfigurationError, "V100"
+        elif case == "board_injector":
+            # Board-level faults (here a thermal throttle pinning the
+            # minimum clock) are per-event draws the waves cannot replay.
+            for gpu in comm.gpus:
+                gpu.fault_injector = FaultPlan(
+                    seed=0,
+                    specs=(FaultSpec(
+                        site="hw.thermal_throttle", at_s=0.0, duration_s=10.0,
+                        param=SPEC.min_core_mhz, target=gpu.index,
+                    ),),
+                ).injector()
+            expected, match = ValidationError, "gpu0"
+        else:
+            comm.gpus[1].set_api_restriction(True)
+            expected, match = ValidationError, "gpu1.*API-restricted"
+        with pytest.raises(expected, match=match):
             run_graph(graph, comm, plan)
 
     def test_result_arrays_read_only_and_summary(self, stencil):

@@ -182,6 +182,18 @@ class TestEmptyBatches:
 # ---------------------------------------------------------- fallback gates
 
 
+def _armed_board():
+    """A V100 whose first clock set fails once (a transient NVML error)."""
+    from repro.faults.plan import FaultPlan, FaultSpec
+
+    gpu = SimulatedGPU(NVIDIA_V100)
+    gpu.fault_injector = FaultPlan(
+        seed=0,
+        specs=(FaultSpec(site="nvml.set_clocks", at_s=0.0, count=1),),
+    ).injector()
+    return gpu
+
+
 class TestFallbacks:
     def test_restricted_board_without_switches_stays_fast(self, kernel_pool):
         gpu = SimulatedGPU(NVIDIA_V100)
@@ -205,22 +217,27 @@ class TestFallbacks:
         assert type(batched_exc.value) is type(scalar_exc.value)
         assert scalar_gpu.records == batched_gpu.records == []
 
-    def test_validator_enabled_falls_back(self, kernel_pool):
-        gpu = SimulatedGPU(NVIDIA_V100)
-        queue = SynergyQueue(gpu, validate=True)
-        result = queue.submit_batch([kernel_pool[0]])
-        assert result.fallback == "validator"
+    def test_fault_injector_falls_back(self, kernel_pool):
+        gpu = _armed_board()
+        result = SynergyQueue(gpu).submit_batch([kernel_pool[0]])
+        assert result.fallback == "faults"
         assert len(gpu.records) == 1
 
-    def test_validator_fallback_matches_scalar_twin(self, kernel_pool, plan):
+    def test_armed_injector_fallback_matches_scalar_twin(
+        self, kernel_pool, plan
+    ):
         requests = [(t, k) for t in (MIN_EDP, MAX_PERF) for k in kernel_pool]
-        scalar_gpu = SimulatedGPU(NVIDIA_V100)
-        _scalar_replay(SynergyQueue(scalar_gpu, plan=plan, validate=True), requests)
-        batched_gpu = SimulatedGPU(NVIDIA_V100)
-        batched_queue = SynergyQueue(batched_gpu, plan=plan, validate=True)
+        scalar_gpu = _armed_board()
+        scalar_queue = SynergyQueue(scalar_gpu, plan=plan)
+        _scalar_replay(scalar_queue, requests)
+        batched_gpu = _armed_board()
+        batched_queue = SynergyQueue(batched_gpu, plan=plan)
         result = batched_queue.submit_batch(requests)
         batched_queue.wait()
-        assert result.fallback == "validator"
+        assert result.fallback == "faults"
+        # The transient clock-set failure fired and was retried on both.
+        assert scalar_queue.scaler.retry_count == 1
+        assert batched_queue.scaler.retry_count == 1
         _assert_twin_parity(scalar_gpu, batched_gpu)
 
 

@@ -171,6 +171,9 @@ class TestLauncher:
         comm = launch_ranks(context)
         assert comm.size == 8
         assert comm.node_of_rank == [0, 0, 0, 0, 1, 1, 1, 1]
+        # Node-major, each allocated board bound to exactly one rank.
+        boards = [g for node in cluster.nodes for g in node.gpus]
+        assert all(a is b for a, b in zip(comm.gpus, boards))
 
     def test_ranks_per_node_limit(self):
         cluster = Cluster.build(NVIDIA_V100, n_nodes=2, gpus_per_node=4)

@@ -47,6 +47,10 @@ class TestCluster:
             for gpu in node.gpus:
                 assert gpu.api_restricted
                 assert gpu.core_mhz == NVIDIA_V100.default_core_mhz
+                assert gpu.mem_mhz == NVIDIA_V100.default_mem_mhz
+                assert gpu.clock.now == cluster.clock.now
+        indices = [g.index for n in cluster.nodes for g in n.gpus]
+        assert len(set(indices)) == len(indices)
 
     def test_gres_tags(self, cluster):
         assert all(n.has_gres(NVGPUFREQ_GRES) for n in cluster.nodes)

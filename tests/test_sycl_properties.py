@@ -8,11 +8,12 @@ start no earlier than the hazards their access modes imply:
   objects across two independently-clocked queues, checked against a
   shadow hazard model that replays the RAW/WAR/WAW marking rules by
   hand and demands ``start >= dep.end`` for every implied edge,
-- **distributed graph, scalar and batched** — random sequences of
+- **distributed graph, executor and oracle** — random sequences of
   distributed command groups (random access modes, halos, idle ranks,
-  gathers): the derived graph must order every hazard, both executors
-  must respect every derived edge in their timelines, and the two
-  timelines must agree within the differential contract (rel 1e-12).
+  gathers): the derived graph must order every hazard, ``run_graph`` and
+  the per-rank queue walk in ``tests/oracles/graph.py`` must respect
+  every derived edge in their timelines, and the two timelines must
+  agree within the differential contract (rel 1e-12).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.distributed import (
     CommandGraph,
     build_comm,
     run_graph,
-    run_graph_scalar,
 )
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import get_spec
@@ -37,6 +37,8 @@ from repro.kernelir.kernel import KernelIR
 from repro.sycl import Accessor, Buffer, Queue
 from repro.sycl.accessor import AccessMode
 from repro.sycl.distributed import DistributedBuffer, DistributedRange
+
+from oracles import graph as oracle
 
 pytestmark = pytest.mark.distributed
 
@@ -234,7 +236,7 @@ def test_graph_paths_order_hazards_and_agree(n_ranks, ops):
 
     comm = build_comm(spec, n_ranks)
     batched = run_graph(graph, comm, plan)
-    scalar = run_graph_scalar(graph, comm, plan)
+    scalar = oracle.run_graph(graph, comm, plan)
 
     # Every derived edge is respected by both executors' timelines.
     for result in (batched, scalar):

@@ -1,13 +1,14 @@
 """The invariant validation plane (``repro.validate``).
 
 Drives every checker in the catalog over real sweeps, scenarios and
-power-cap states, exercises the opt-in inline ``validate=`` hooks on the
-queue and the cluster, and the report/metrics export path. Deterministic
-regression tests for the two §2.3 power-cap bugs live here too (the
-Hypothesis properties are in ``test_powercap_properties.py``).
+power-cap states, the report/metrics export path, and the layering rule
+that only the CLI imports the plane. Deterministic regression tests for
+the two §2.3 power-cap bugs live here too (the Hypothesis properties are
+in ``test_powercap_properties.py``).
 """
 
-import math
+import ast
+import pathlib
 import types
 
 import pytest
@@ -21,11 +22,8 @@ from repro.obs.session import NULL_TRACE, TraceSession, absorb_validation
 from repro.slurm.powercap import PowerCapPlugin, redistribute_caps
 from repro.validate import (
     CheckResult,
-    InlineValidator,
-    NULL_VALIDATOR,
     Severity,
     ValidationReport,
-    resolve_validator,
     run_validation,
 )
 from repro.validate.invariants import (
@@ -216,130 +214,6 @@ class TestPowercapBugRegressions:
             ]
 
 
-# --------------------------------------------------------- inline validator
-
-def _fake_event(**overrides):
-    spec = NVIDIA_V100
-    record = types.SimpleNamespace(
-        kernel_name="k", time_s=1.0, energy_j=50.0, avg_power_w=50.0,
-        core_mhz=spec.default_core_mhz, mem_mhz=spec.default_mem_mhz,
-    )
-    for key, value in overrides.items():
-        setattr(record, key, value)
-    return types.SimpleNamespace(record=record, start_s=0.0, end_s=1.0)
-
-
-def _fake_gpu():
-    return types.SimpleNamespace(spec=NVIDIA_V100, power_limit_w=300.0, index=0)
-
-
-class TestInlineValidator:
-    def test_resolve_semantics(self):
-        assert resolve_validator(None) is NULL_VALIDATOR
-        assert resolve_validator(False) is NULL_VALIDATOR
-        assert not NULL_VALIDATOR.enabled
-        live = resolve_validator(True)
-        assert isinstance(live, InlineValidator) and live.enabled and live.strict
-        mine = InlineValidator(strict=False)
-        assert resolve_validator(mine) is mine
-
-    def test_consistent_event_passes(self):
-        v = InlineValidator()
-        v.check_kernel_event(_fake_gpu(), _fake_event())
-        assert v.checks_run > 0 and not v.failures
-
-    def test_strict_raises_on_energy_mismatch(self):
-        v = InlineValidator()
-        bad = _fake_event(energy_j=100.0)  # 50 W over 1 s cannot give 100 J
-        with pytest.raises(ValidationError, match="inline.energy_power_time"):
-            v.check_kernel_event(_fake_gpu(), bad)
-
-    def test_non_strict_records_instead(self):
-        v = InlineValidator(strict=False)
-        v.check_kernel_event(_fake_gpu(), _fake_event(energy_j=100.0))
-        assert [f.name for f in v.failures] == ["inline.energy_power_time"]
-
-    def test_monotone_event_clock_per_device(self):
-        v = InlineValidator(strict=False)
-        first = _fake_event()
-        first.start_s, first.end_s = 0.0, 5.0
-        second = _fake_event()
-        second.start_s, second.end_s = 1.0, 2.0  # ends before the first did
-        gpu = _fake_gpu()
-        v.check_kernel_event(gpu, first)
-        v.check_kernel_event(gpu, second)
-        assert "inline.monotone_event_clock" in {f.name for f in v.failures}
-
-
-# ------------------------------------------------------------ opt-in hooks
-
-class TestOptInHooks:
-    def test_queue_hook_off_by_default(self):
-        from repro.core.queue import SynergyQueue
-        from repro.hw.device import SimulatedGPU
-
-        queue = SynergyQueue(SimulatedGPU(NVIDIA_V100, index=0))
-        assert queue.validator is NULL_VALIDATOR
-
-    def test_queue_hook_validates_every_kernel(self):
-        from repro.core.queue import SynergyQueue
-        from repro.hw.device import SimulatedGPU
-
-        gpu = SimulatedGPU(NVIDIA_V100, index=0)
-        queue = SynergyQueue(gpu, validate=True)
-        kernel = get_benchmark("gemm").kernel
-        for _ in range(2):
-            queue.submit(lambda h, k=kernel: h.parallel_for(k.work_items, k))
-        queue.wait()
-        assert queue.validator.checks_run > 0
-        assert not queue.validator.failures
-
-    def test_cluster_hook_checks_provisioning(self):
-        from repro.slurm.cluster import Cluster
-
-        plain = Cluster.build(NVIDIA_V100, n_nodes=1, gpus_per_node=2)
-        assert not plain.validator.enabled
-        validator = InlineValidator(strict=False)
-        cluster = Cluster.build(
-            NVIDIA_V100, n_nodes=2, gpus_per_node=2, validate=validator
-        )
-        assert cluster.validator is validator
-        assert validator.checks_run > 0 and not validator.failures
-
-    def test_mpi_rank_binding_checked_on_validated_cluster(self):
-        from repro.mpi.launcher import launch_ranks
-        from repro.slurm.cluster import Cluster
-        from repro.slurm.job import JobSpec, JobState
-        from repro.slurm.scheduler import Scheduler
-
-        validator = InlineValidator(strict=False)
-        cluster = Cluster.build(
-            NVIDIA_V100, n_nodes=2, gpus_per_node=2, validate=validator
-        )
-        before = validator.checks_run
-        scheduler = Scheduler(cluster)
-        job = scheduler.submit(
-            JobSpec(name="mpi", n_nodes=2, payload=lambda c: launch_ranks(c).size)
-        )
-        assert job.state is JobState.COMPLETED and job.result == 4
-        assert validator.checks_run > before
-        assert not validator.failures
-
-    def test_rank_binding_violations_flagged(self):
-        comm = types.SimpleNamespace(
-            gpus=["a", "a"], node_of_rank=[1, 0], size=2
-        )
-        context = types.SimpleNamespace(
-            nodes=[types.SimpleNamespace(gpus=[])] * 2
-        )
-        v = InlineValidator(strict=False)
-        v.check_rank_binding(comm, context)
-        names = {f.name for f in v.failures}
-        assert "inline.node_major_binding" in names
-        assert "inline.boards_bound_once" in names
-        assert "inline.rank_on_allocated_node" in names
-
-
 # ----------------------------------------------------- runner and obs export
 
 class TestRunner:
@@ -375,3 +249,30 @@ def test_absorb_validation_exports_verdict():
     assert doc["gauges"]["validate.passed"] == 1.0
     # The no-op session ignores the report entirely.
     absorb_validation(NULL_TRACE, report)
+
+
+def test_only_the_cli_imports_the_validation_plane():
+    """The plane checks the runtime from above; no runtime layer imports it."""
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        if rel.parts[0] == "validate" or rel == pathlib.Path("cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(
+                n == "repro.validate" or n.startswith("repro.validate.")
+                for n in names
+            ):
+                offenders.append(f"{rel}:{node.lineno}")
+    assert not offenders, offenders
