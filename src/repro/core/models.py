@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.core.sweepcache import SweepCache, resolve_cache
-from repro.hw.cache import models_for
+from repro.hw.cache import evaluate_grid
 from repro.hw.specs import GPUSpec
 from repro.kernelir.features import FEATURE_NAMES, extract_features
 from repro.kernelir.kernel import KernelIR
@@ -91,15 +91,7 @@ def _compute_sweep(
     spec: GPUSpec, kernel: KernelIR, freqs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One broadcasted evaluation of the full core-frequency sweep."""
-    timing_model, power_model = models_for(spec)
-    mem = float(spec.default_mem_mhz)
-    timing = timing_model.sweep(kernel, freqs, mem)
-    power = np.asarray(
-        power_model.power(
-            freqs, mem, timing.core_power_utilization, timing.u_mem
-        ),
-        dtype=float,
-    )
+    timing, power = evaluate_grid(spec, kernel, freqs, float(spec.default_mem_mhz))
     return freqs, timing.time_s, power * timing.time_s
 
 

@@ -1,12 +1,13 @@
 """Vectorized virtual-time engine (ROADMAP item 2).
 
-Batched scenario execution: many in-flight kernels (and many jobs)
-advance per NumPy pass instead of one per Python call. The struct-of-
-arrays batch representations live in :mod:`repro.engine.batch`, the
-batched advance in :mod:`repro.engine.executor`, the declarative job
-payloads plus per-node energy reductions in :mod:`repro.engine.payload`,
-and the wave-vectorized command-graph executor in
-:mod:`repro.engine.multirank`.
+Batched scenario execution: many in-flight kernels advance per NumPy
+pass instead of one per Python call. The struct-of-arrays kernel batch
+lives in :mod:`repro.engine.batch`, the batched advance in
+:mod:`repro.engine.executor`, sweep-compiled frequency plans in
+:mod:`repro.engine.payload`, and the wave-vectorized command-graph
+executor in :mod:`repro.engine.multirank`. Jobs reach the engine
+through :class:`repro.service.shard.TenantBatchPayload`; their energy is
+accounted by the scheduler, one board integral per allocated board.
 
 The per-event ``SynergyQueue.submit`` path stays as the reference
 semantics, and :func:`execute_batch` replays through it when a board has
@@ -19,20 +20,13 @@ paths byte-for-byte: ``single-gpu``, ``slurm-faults`` and
 ``submit_batch``.
 """
 
-from repro.engine.batch import JobBatch, KernelBatch
+from repro.engine.batch import KernelBatch
 from repro.engine.executor import BatchResult, execute_batch
-from repro.engine.payload import (
-    KernelBatchPayload,
-    board_energies,
-    plan_from_sweeps,
-)
+from repro.engine.payload import plan_from_sweeps
 
 __all__ = [
     "BatchResult",
-    "JobBatch",
     "KernelBatch",
-    "KernelBatchPayload",
-    "board_energies",
     "execute_batch",
     "plan_from_sweeps",
 ]

@@ -3,8 +3,7 @@
 :class:`KernelBatch` holds one queue's worth of kernel submissions as
 parallel tuples/arrays — kernels, clock requests, and (after resolution)
 the contiguous clock/frequency-plan-index arrays the executor broadcasts
-over. :class:`JobBatch` is the scheduler-level analogue for
-``Scheduler.submit_many``: job specs in, aggregate job arrays out.
+over.
 
 Request forms mirror :meth:`repro.core.queue.SynergyQueue.submit`:
 
@@ -18,7 +17,7 @@ Request forms mirror :meth:`repro.core.queue.SynergyQueue.submit`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from repro.common.errors import ValidationError
 from repro.hw.specs import GPUSpec
 from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import EnergyTarget
-from repro.slurm.job import Job, JobSpec
 
 #: One submission request: kernel plus an optional clock request.
 #: ``request`` is ``None`` (no per-submission request), an
@@ -132,57 +130,6 @@ class ResolvedBatch:
     def n_switches(self) -> int:
         """Number of effective clock changes in the batch."""
         return int(np.count_nonzero(self.switches))
-
-
-@dataclass(frozen=True)
-class JobBatch:
-    """A batch of job submissions for ``Scheduler.submit_many``."""
-
-    specs: tuple[JobSpec, ...]
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    @classmethod
-    def from_specs(cls, specs: Sequence[JobSpec]) -> "JobBatch":
-        """Assemble a job batch, rejecting non-``JobSpec`` items early."""
-        specs = tuple(specs)
-        for spec in specs:
-            if not isinstance(spec, JobSpec):
-                raise ValidationError(
-                    f"JobBatch items must be JobSpec, got {spec!r}"
-                )
-        return cls(specs=specs)
-
-    @property
-    def n_nodes(self) -> np.ndarray:
-        """Requested node counts, one entry per job."""
-        return np.asarray([s.n_nodes for s in self.specs], dtype=int)
-
-    @staticmethod
-    def collect(jobs: Sequence[Job]) -> dict[str, np.ndarray]:
-        """Struct-of-arrays view over completed jobs.
-
-        One aggregate pass over a ``submit_many`` result: ids, states,
-        start/end times and accounted GPU energies as contiguous arrays
-        (NaN where a job never started/ended or was not accounted).
-        """
-        return {
-            "job_id": np.asarray([j.job_id for j in jobs], dtype=int),
-            "state": np.asarray([j.state.value for j in jobs], dtype=object),
-            "start_s": np.asarray(
-                [np.nan if j.start_time_s is None else j.start_time_s for j in jobs],
-                dtype=float,
-            ),
-            "end_s": np.asarray(
-                [np.nan if j.end_time_s is None else j.end_time_s for j in jobs],
-                dtype=float,
-            ),
-            "gpu_energy_j": np.asarray(
-                [np.nan if j.gpu_energy_j is None else j.gpu_energy_j for j in jobs],
-                dtype=float,
-            ),
-        }
 
 
 def resolve_effective_clocks(

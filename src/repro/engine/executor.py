@@ -43,6 +43,7 @@ from repro.engine.batch import (
     resolve_effective_clocks,
     with_core_index,
 )
+from repro.hw.cache import evaluate_grid
 from repro.hw.device import KernelExecutionRecord
 from repro.metrics.targets import EnergyTarget
 from repro.sycl.event import Event
@@ -159,30 +160,16 @@ def operating_table(gpu, kernel, mem_mhz: float):
     shared per spec), so the single-queue fast path and the multi-rank
     graph engine (:mod:`repro.engine.multirank`) share cache entries.
     """
-    from repro.core.sweepcache import resolve_cache
+    from repro.core.sweepcache import default_sweep_cache
 
     spec = gpu.spec
     table = np.asarray(spec.core_freqs_mhz, dtype=float)
 
     def compute():
-        timing = gpu.timing_model.sweep(kernel, table, float(mem_mhz))
-        power = np.asarray(
-            gpu.power_model.power(
-                table,
-                float(mem_mhz),
-                timing.core_power_utilization,
-                timing.u_mem,
-            ),
-            dtype=float,
-        )
+        timing, power = evaluate_grid(spec, kernel, table, float(mem_mhz))
         return (timing.time_s, timing.u_core, timing.u_mem, power)
 
-    store = resolve_cache(None)
-    if store is None:
-        value = compute()
-        for arr in value:
-            arr.setflags(write=False)
-        return value
+    store = default_sweep_cache()
     return store.get_or_compute(store.engine_key(spec, kernel, table, mem_mhz), compute)
 
 

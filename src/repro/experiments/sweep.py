@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.models import measure_sweep
 from repro.core.sweepcache import SweepCache, resolve_cache
-from repro.hw.cache import models_for
+from repro.hw.cache import evaluate_grid
 from repro.hw.specs import GPUSpec
 from repro.kernelir.kernel import KernelIR
 from repro.metrics.energy import ed2p, edp
@@ -145,17 +145,7 @@ def _compute_sweep_2d(
     spec: GPUSpec, kernel: KernelIR, core: np.ndarray, mem: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The full (memory × core) grid in one broadcasted model evaluation."""
-    timing_model, power_model = models_for(spec)
-    timing = timing_model.sweep(kernel, core[None, :], mem[:, None])
-    power = np.asarray(
-        power_model.power(
-            core[None, :],
-            mem[:, None],
-            timing.core_power_utilization,
-            timing.u_mem,
-        ),
-        dtype=float,
-    )
+    timing, power = evaluate_grid(spec, kernel, core[None, :], mem[:, None])
     return timing.time_s, power * timing.time_s
 
 

@@ -10,15 +10,22 @@ models exactly once.
 Keys are object identities: specs are frozen dataclasses typically taken
 from the module-level catalog, and keeping the spec in the cache value pins
 its ``id`` so stale-identity collisions cannot occur.
+
+:func:`evaluate_grid` is the one evaluation of both models over a clock
+grid; every sweep-shaped cache entry (1-D sweeps, 2-D grids, the engine's
+operating tables) is computed by it.
 """
 
 from __future__ import annotations
 
 import threading
 
+import numpy as np
+
 from repro.hw.power import PowerModel
 from repro.hw.specs import GPUSpec
-from repro.hw.timing import TimingModel
+from repro.hw.timing import SweepTiming, TimingModel
+from repro.kernelir.kernel import KernelIR
 
 _MODELS: dict[int, tuple[GPUSpec, TimingModel, PowerModel]] = {}
 _LOCK = threading.Lock()
@@ -33,6 +40,28 @@ def models_for(spec: GPUSpec) -> tuple[TimingModel, PowerModel]:
     power = PowerModel(spec)
     with _LOCK:
         _MODELS[id(spec)] = (spec, timing, power)
+    return timing, power
+
+
+def evaluate_grid(
+    spec: GPUSpec,
+    kernel: KernelIR,
+    core_mhz: float | np.ndarray,
+    mem_mhz: float | np.ndarray,
+) -> tuple[SweepTiming, np.ndarray]:
+    """Timing and board power (W) of ``kernel`` over a clock grid.
+
+    ``core_mhz`` and ``mem_mhz`` broadcast against each other as in
+    :meth:`TimingModel.sweep`; the power array has the grid's shape.
+    """
+    timing_model, power_model = models_for(spec)
+    timing = timing_model.sweep(kernel, core_mhz, mem_mhz)
+    power = np.asarray(
+        power_model.power(
+            core_mhz, mem_mhz, timing.core_power_utilization, timing.u_mem
+        ),
+        dtype=float,
+    )
     return timing, power
 
 

@@ -432,51 +432,37 @@ class SimulatedGPU:
     # ------------------------------------------------------------------ power
 
     def instantaneous_power(self, t: float) -> float:
-        """Board power draw (W) at virtual time ``t``: busy segment or idle."""
-        i = bisect.bisect_right(self._seg_start, t) - 1
-        if i >= 0 and self._seg_start[i] <= t < self._seg_end[i]:
-            return self._seg_power[i]
-        core, mem = self.clocks_at(t)
-        return self.power_model.idle_power(core, mem)
+        """Board power draw (W) at virtual time ``t``: busy segment or idle.
+
+        Reads the interval of :meth:`_interval_table` holding ``t``;
+        before the board existed it draws idle power at its first clocks.
+        """
+        edges, power = self._interval_table()
+        i = int(np.searchsorted(edges, t, side="right")) - 1
+        if i < 0:
+            core, mem = self._clock_values[0]
+            return self.power_model.idle_power(core, mem)
+        return float(power[i])
 
     def energy_between(self, t0: float, t1: float) -> float:
         """True (analytic) board energy in joules over ``[t0, t1]``.
 
-        Integrates busy segments exactly and fills gaps with idle power at
-        the clocks then in effect. The walk starts at the first segment
-        ending after ``t0`` (found by bisection), so a window costs
-        O(log n + k) for the ``k`` segments and clock changes inside it.
+        The one-window form of :meth:`energy_between_many`: the same
+        interval-table integral, so a job or kernel window gets the same
+        bits whichever of the two asks.
         """
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise SimulationError(f"energy window not finite: [{t0!r}, {t1!r}]")
-        if t1 < t0:
-            raise SimulationError(f"energy window reversed: [{t0!r}, {t1!r}]")
-        energy = 0.0
-        cursor = t0
-        seg_start, seg_end, seg_power = self._seg_start, self._seg_end, self._seg_power
-        for k in range(bisect.bisect_right(seg_end, t0), len(seg_start)):
-            s, e = seg_start[k], seg_end[k]
-            if s >= t1:
-                break
-            if s > cursor:
-                energy += self._idle_energy(cursor, min(s, t1))
-                cursor = min(s, t1)
-            lo, hi = max(s, cursor), min(e, t1)
-            if hi > lo:
-                energy += seg_power[k] * (hi - lo)
-                cursor = hi
-        if cursor < t1:
-            energy += self._idle_energy(cursor, t1)
-        return energy
+        window = self._integrate(
+            np.asarray([t0], dtype=float), np.asarray([t1], dtype=float)
+        )
+        return float(window[0])
 
     def energy_between_many(self, t0s, t1s) -> np.ndarray:
         """True board energies (J) over many windows in one vectorized pass.
 
-        The batched counterpart of :meth:`energy_between`. Each chunk of
-        windows finds the intervals of the board's interval table
-        (:meth:`_interval_table`) it touches with ``searchsorted`` and
-        integrates as an overlap product against that slice only, so a
-        query costs O(window), not O(history).
+        Each chunk of windows finds the intervals of the board's interval
+        table (:meth:`_interval_table`) it touches with ``searchsorted``
+        and integrates as an overlap product against that slice only, so
+        a query costs O(window), not O(history).
 
         The slice is widened down to a multiple of :data:`_BLAS_ALIGN` and
         multiplied against the whole rest of the interval vector (zeros
@@ -488,11 +474,14 @@ class SimulatedGPU:
         ulp.) Windows that start before the board existed see idle power
         at its first clocks; the last interval extends past every window.
         Sums accumulate positive contributions only, so there is no
-        cancellation; agreement with per-window :meth:`energy_between` is
-        within a few ulp per interval.
+        cancellation.
         """
-        t0 = np.asarray(t0s, dtype=float)
-        t1 = np.asarray(t1s, dtype=float)
+        return self._integrate(
+            np.asarray(t0s, dtype=float), np.asarray(t1s, dtype=float)
+        )
+
+    def _integrate(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """The board energy integral behind both public queries."""
         if t0.shape != t1.shape:
             raise SimulationError(
                 f"window arrays have mismatched shapes ({t0.shape} vs {t1.shape})"
@@ -588,18 +577,6 @@ class SimulatedGPU:
             self._n_edges = n
             self._dirty_s = math.inf
         return self._edge_buf[: self._n_edges], self._power_buf[: self._n_edges]
-
-    def _idle_energy(self, t0: float, t1: float) -> float:
-        """Idle energy over a gap, split at clock-change boundaries."""
-        energy = 0.0
-        cursor = t0
-        i = bisect.bisect_right(self._clock_times, t0)
-        j = bisect.bisect_left(self._clock_times, t1, lo=i)
-        for boundary in self._clock_times[i:j] + [t1]:
-            core, mem = self.clocks_at(cursor)
-            energy += self.power_model.idle_power(core, mem) * (boundary - cursor)
-            cursor = boundary
-        return energy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,8 +8,11 @@ instantaneous power only on a fixed virtual-time sampling grid, applies a
 first-order lag (the on-board averaging window) and seeded gaussian noise,
 then integrates the samples with the trapezoid rule.
 
-Benchmarks that need ground truth use
-:meth:`repro.hw.device.SimulatedGPU.energy_between` instead.
+Benchmarks that need ground truth use the board's analytic integral,
+:meth:`repro.hw.device.SimulatedGPU.energy_between`, instead. Both read
+the same power timeline: the sensor samples
+:meth:`~repro.hw.device.SimulatedGPU.instantaneous_power`, which looks
+up the interval table that the integral sums over.
 """
 
 from __future__ import annotations

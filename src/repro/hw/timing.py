@@ -163,8 +163,11 @@ class TimingModel:
         ``core_mhz`` and ``mem_mhz`` broadcast against each other, so a 1-D
         core table gives a ``(n_core,)`` sweep and ``(core[None, :],
         mem[:, None])`` gives the full ``(n_mem, n_core)`` grid. The result
-        iterates as per-clock :class:`KernelTiming` values for 1-D sweeps;
-        per-element results are bitwise those of :meth:`execute`.
+        iterates as per-clock :class:`KernelTiming` values for 1-D sweeps.
+        Elements agree with :meth:`execute` to about one ulp but are not
+        bitwise equal: array powers go through NumPy's SIMD ``pow``, the
+        scalar path through libm's, and the two round differently on some
+        inputs.
         """
         t_comp, t_mem = self._phase_times(kernel, core_mhz, mem_mhz)
         t_comp, t_mem = np.broadcast_arrays(

@@ -6,8 +6,9 @@ posture with the ``nvgpufreq`` GRES so the plugin's privilege dance
 runs), its own :class:`Scheduler` with the :class:`NvGpuFreqPlugin`
 attached. Shards run cooperatively in virtual time — the plane advances
 every shard's clock to each drain boundary, and each shard then drains
-its tenants' queues through ``Scheduler.submit_many`` batched
-accounting. GPU indices and node names are offset per shard
+its tenants' queues through ``Scheduler.submit_many``, which accounts
+each job like ``submit`` does (one board energy integral per allocated
+board). GPU indices and node names are offset per shard
 (``index_base``/``node_prefix``) so all shards can share one trace
 session without track collisions — the lumos-style fan-out.
 """
@@ -34,12 +35,15 @@ from repro.slurm.scheduler import Scheduler
 class TenantBatchPayload:
     """Job payload draining one tenant's pending submissions.
 
-    Like :class:`~repro.engine.payload.KernelBatchPayload`, but tagged
-    with the owning tenant (the queue's ``owner``, so every
-    ``queue.kernel`` span carries the tenant name) and returning the
-    per-submission start times and modeled kernel energies the plane
-    needs for scheduling-latency percentiles and per-tenant energy
-    attribution.
+    Drives every allocated GPU through one
+    :class:`~repro.engine.batch.KernelBatch` via
+    :meth:`SynergyQueue.submit_batch`, tagged with the owning tenant (the
+    queue's ``owner``, so every ``queue.kernel`` span carries the tenant
+    name). ``requests`` holds submit-style items (bare :class:`KernelIR`,
+    ``(EnergyTarget, kernel)`` or ``(mem_mhz, core_mhz, kernel)``).
+    Returns per-GPU queue summaries plus the per-submission start times
+    and modeled kernel energies the plane needs for scheduling-latency
+    percentiles and per-tenant energy attribution.
     """
 
     tenant: str

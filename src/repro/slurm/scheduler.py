@@ -20,9 +20,9 @@ recorded on the job objects (``requeued_as`` / ``requeue_of``).
 from __future__ import annotations
 
 import itertools
-from typing import Protocol
+from typing import Protocol, Sequence
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.faults import NodeFailure
 from repro.obs.session import TraceSession, resolve_trace
 from repro.slurm.cluster import Cluster, Node
@@ -63,11 +63,6 @@ class Scheduler:
         self.max_requeues = int(max_requeues)
         self._job_ids = itertools.count(1)
         self.jobs: dict[int, Job] = {}
-        # Set while submit_many runs its jobs: they account with the
-        # interval-table batch instead of the scalar segment walk. A flag,
-        # not a parameter, so every job still runs through ``submit`` (one
-        # lifecycle, and host-time profilers wrapping it see every job).
-        self._batched_accounting = False
 
     def add_plugin(self, plugin: SchedulerPlugin) -> None:
         """Register a prologue/epilogue plugin."""
@@ -81,8 +76,9 @@ class Scheduler:
         Returns the *last* job of the requeue chain (the one that actually
         completed, failed, or exhausted the requeue budget); earlier
         attempts stay queryable through ``jobs`` / ``requeued_as`` links.
-        Per-job GPU energy is the per-segment walk of
-        :meth:`SimulatedGPU.energy_between` over each allocated board.
+        Per-job GPU energy is :meth:`SimulatedGPU.energy_between` over the
+        job window on each allocated board (one interval-table query per
+        board), summed node-major.
         """
         job = self._run_one(spec)
         requeues = 0
@@ -102,23 +98,23 @@ class Scheduler:
             job = self._run_one(spec, requeue_of=job)
         return job
 
-    def submit_many(self, specs) -> list[Job]:
+    def submit_many(self, specs: Sequence[JobSpec]) -> list[Job]:
         """Run a batch of jobs to completion, in submission order.
 
-        Accepts a sequence of :class:`JobSpec` or a
-        :class:`~repro.engine.batch.JobBatch`. Each job goes through
-        :meth:`submit` — allocation, requeue lineage, hooks — but its
-        energy is one interval-table query per board
-        (:func:`~repro.engine.payload.board_energies`).
-        ``submit_many([])`` is a well-formed no-op: it emits an empty
-        ``slurm.submit_many`` span and returns no jobs.
+        Every item must be a :class:`JobSpec`; anything else is rejected
+        before the first job runs. Each job goes through :meth:`submit`
+        (allocation, requeue lineage, hooks, accounting), so a job gets
+        the same record, energy included, from either entry point; the
+        batch adds one ``slurm.submit_many`` span around them.
+        ``submit_many([])`` is a well-formed no-op: it emits an empty span
+        and returns no jobs.
         """
-        from repro.engine.batch import JobBatch
-
-        if isinstance(specs, JobBatch):
-            specs = list(specs.specs)
-        else:
-            specs = list(JobBatch.from_specs(specs).specs)
+        specs = list(specs)
+        for spec in specs:
+            if not isinstance(spec, JobSpec):
+                raise ValidationError(
+                    f"submit_many items must be JobSpec, got {spec!r}"
+                )
         tr = self.trace
         if not specs:
             if tr.enabled:
@@ -128,21 +124,15 @@ class Scheduler:
                     now, now, jobs=0, completed=0,
                 )
             return []
-        outer, self._batched_accounting = self._batched_accounting, True
-        try:
-            if not tr.enabled:
-                return [self.submit(spec) for spec in specs]
-            with tr.span(
-                self.cluster.clock, "slurm", "slurm.submit_many",
-                f"submit_many[{len(specs)}]", jobs=len(specs),
-            ) as sp:
-                jobs = [self.submit(spec) for spec in specs]
-                sp.set(
-                    completed=sum(j.state is JobState.COMPLETED for j in jobs)
-                )
-            return jobs
-        finally:
-            self._batched_accounting = outer
+        if not tr.enabled:
+            return [self.submit(spec) for spec in specs]
+        with tr.span(
+            self.cluster.clock, "slurm", "slurm.submit_many",
+            f"submit_many[{len(specs)}]", jobs=len(specs),
+        ) as sp:
+            jobs = [self.submit(spec) for spec in specs]
+            sp.set(completed=sum(j.state is JobState.COMPLETED for j in jobs))
+        return jobs
 
     def _run_one(self, spec: JobSpec, requeue_of: Job | None = None) -> Job:
         """Allocate, run hooks, execute the payload, account, clean up."""
@@ -260,10 +250,7 @@ class Scheduler:
             for gpu in node.gpus:
                 gpu.clock.advance_to(end)
         job.end_time_s = end
-        if self._batched_accounting:
-            job.gpu_energy_j = self._account_energy_batched(job)
-        else:
-            job.gpu_energy_j = self._account_energy(job)
+        job.gpu_energy_j = self._account_energy(job)
         for plugin in self.plugins:
             for node in nodes:
                 with self.trace.span(
@@ -306,27 +293,6 @@ class Scheduler:
             for gpu in node.gpus:
                 total += gpu.energy_between(job.start_time_s, job.end_time_s)
         return total
-
-    def _account_energy_batched(self, job: Job) -> float:
-        """Job GPU energy as one interval-table query per board.
-
-        Same window and node-major summation order as
-        :meth:`_account_energy`; per-board values
-        (:func:`~repro.engine.payload.board_energies`) agree with the
-        scalar walk within a few ulp per timeline interval, and each costs
-        O(window), not O(board history).
-        """
-        import numpy as np
-
-        from repro.engine.payload import board_energies
-
-        assert job.start_time_s is not None and job.end_time_s is not None
-        gpus = [gpu for node in job.nodes for gpu in node.gpus]
-        if not gpus:
-            return 0.0
-        return float(
-            np.sum(board_energies(gpus, job.start_time_s, job.end_time_s))
-        )
 
     def job_report(self, job_id: int) -> dict[str, object]:
         """``sacct``-style summary for one job."""

@@ -1,16 +1,18 @@
 """Reference board energy integrators: full-history product and full walk.
 
-The equivalence oracles for the two board integrators of
+The equivalence oracles for the board integral of
 :class:`repro.hw.device.SimulatedGPU`:
 
 - :func:`energy_between_many` rebuilds every breakpoint and interval power
   from the board's whole segment and clock history on each call and
-  multiplies every window against every interval. The board method keeps
-  an interval table and multiplies only the slice a window batch touches;
-  it must return exactly these bits.
-- :func:`energy_between` walks every segment from the first and scans
-  every later clock change; the board method starts both by bisection and
-  must add the same terms in the same order.
+  multiplies every window against every interval. The board keeps an
+  interval table and multiplies only the slice a window batch touches;
+  ``energy_between_many`` and its one-window form ``energy_between`` must
+  both return exactly these bits.
+- :func:`energy_between` walks every segment and scans every later clock
+  change, pricing idle gaps with scalar ``idle_power``. It shares no code
+  path with the table, so it is an independent witness: agreement is
+  within a few ulp per interval (rel 1e-12), not bitwise.
 
 Bit-exactness of the batched product holds with numpy's BLAS on one
 thread (:func:`single_blas_thread`): a multi-threaded OpenBLAS splits long

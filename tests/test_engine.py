@@ -7,7 +7,9 @@ targets (including DEADLINE and SLA) through ``submit_batch`` and the
 scalar reference loop side by side, on free and power-capped boards,
 traced or not: element-wise parity of the resulting records, queue
 summaries and traced counters, and permutation invariance of the
-aggregate batch energy.
+aggregate batch energy. A seeded job-stream property pins that
+``Scheduler.submit`` and ``submit_many`` account bitwise-equal job
+energy.
 """
 
 from __future__ import annotations
@@ -15,20 +17,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import energy as oracle
 from repro.common.errors import (
     ConfigurationError,
     SimulationError,
     ValidationError,
 )
 from repro.core.queue import SynergyQueue
-from repro.engine import (
-    BatchResult,
-    JobBatch,
-    KernelBatch,
-    KernelBatchPayload,
-    board_energies,
-    plan_from_sweeps,
-)
+from repro.engine import BatchResult, KernelBatch, plan_from_sweeps
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import NVIDIA_V100
 from repro.kernelir.kernel import KernelIR
@@ -136,10 +132,6 @@ class TestKernelBatch:
         batch = KernelBatch.from_requests([(877, 123456, kernel_pool[0])])
         with pytest.raises(ConfigurationError, match="unsupported core"):
             batch.validate_explicit_clocks(NVIDIA_V100)
-
-    def test_job_batch_rejects_non_specs(self):
-        with pytest.raises(ValidationError, match="JobSpec"):
-            JobBatch.from_specs(["nope"])
 
 
 # ------------------------------------------------------------- empty edges
@@ -268,41 +260,80 @@ class TestBulkDeviceAPIs:
         assert v100._clock_values == history
 
     def test_energy_between_many_matches_scalar(self, v100, kernel_pool):
+        """Both queries are the one board integral: bitwise equal to each
+        other and to the full-history oracle; the full walk agrees within
+        a few ulp."""
         queue = SynergyQueue(v100)
         _scalar_replay(queue, [(877, f, kernel_pool[0]) for f in (1380, 900)])
         t0 = np.asarray([0.0, v100.records[0].end_s])
         t1 = np.asarray([v100.records[0].end_s, v100.clock.now])
-        many = v100.energy_between_many(t0, t1)
-        scalar = [v100.energy_between(a, b) for a, b in zip(t0, t1)]
-        np.testing.assert_allclose(many, scalar, rtol=RTOL)
+        with oracle.single_blas_thread():
+            many = v100.energy_between_many(t0, t1)
+            scalar = [v100.energy_between(a, b) for a, b in zip(t0, t1)]
+            want = [
+                oracle.energy_between_many(v100, [a], [b])[0]
+                for a, b in zip(t0, t1)
+            ]
+        assert scalar == want
+        assert list(many) == scalar
+        walk = [oracle.energy_between(v100, a, b) for a, b in zip(t0, t1)]
+        np.testing.assert_allclose(scalar, walk, rtol=RTOL)
 
-    def test_window_energies_parity_and_device_check(self, v100, kernel_pool):
+    def test_kernel_energies_match_oracle_and_device_check(
+        self, v100, kernel_pool
+    ):
         queue = SynergyQueue(v100)
         result = queue.submit_batch([(877, 1380, k) for k in kernel_pool])
-        per_event = [
-            queue.kernel_energy_consumption(e, true_value=True)
-            for e in result.events
+        with oracle.single_blas_thread():
+            per_event = [
+                queue.kernel_energy_consumption(e, true_value=True)
+                for e in result.events
+            ]
+            want = [
+                oracle.energy_between_many(v100, [e.start_s], [e.end_s])[0]
+                for e in result.events
+            ]
+        assert per_event == want
+        walk = [
+            oracle.energy_between(v100, e.start_s, e.end_s) for e in result.events
         ]
-        batched = queue.profiler.window_energies(result.events, true_value=True)
-        np.testing.assert_allclose(batched, per_event, rtol=RTOL)
-        sampled = [queue.kernel_energy_consumption(e) for e in result.events]
-        assert list(queue.profiler.window_energies(result.events)) == sampled
-        assert queue.profiler.window_energies([]).shape == (0,)
+        np.testing.assert_allclose(per_event, walk, rtol=RTOL)
         other = SynergyQueue(SimulatedGPU(NVIDIA_V100))
         with pytest.raises(ValidationError, match="different device"):
-            other.profiler.window_energies(result.events)
+            other.profiler.kernel_energy(result.events[0])
 
 
 # ------------------------------------------------------ scheduler batching
 
 
+def _v100_scheduler():
+    from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
+    from repro.slurm.plugin import NvGpuFreqPlugin
+    from repro.slurm.scheduler import Scheduler
+
+    cluster = Cluster.build(
+        NVIDIA_V100, n_nodes=2, gpus_per_node=1, gres={NVGPUFREQ_GRES}
+    )
+    return Scheduler(cluster, plugins=[NvGpuFreqPlugin()])
+
+
+def _job_spec(name: str, payload, n_nodes: int = 1):
+    from repro.slurm.cluster import NVGPUFREQ_GRES
+    from repro.slurm.job import JobSpec
+
+    return JobSpec(
+        name=name,
+        n_nodes=n_nodes,
+        exclusive=True,
+        gres=frozenset({NVGPUFREQ_GRES}),
+        payload=payload,
+    )
+
+
 class TestSubmitMany:
     def test_batched_accounting_matches_scalar(self, kernel_pool, plan):
-        """``submit_many`` + batch payloads vs scalar ``submit`` jobs."""
-        from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
-        from repro.slurm.job import JobSpec
-        from repro.slurm.plugin import NvGpuFreqPlugin
-        from repro.slurm.scheduler import Scheduler
+        """``submit_many`` + tenant batch payloads vs scalar ``submit`` jobs."""
+        from repro.service.shard import TenantBatchPayload
 
         requests = tuple((t, k) for t in (MIN_EDP, MAX_PERF) for k in kernel_pool)
 
@@ -315,52 +346,55 @@ class TestSubmitMany:
             return {"gpus": summaries}
 
         def run(batched: bool):
-            cluster = Cluster.build(
-                NVIDIA_V100, n_nodes=2, gpus_per_node=1, gres={NVGPUFREQ_GRES}
+            scheduler = _v100_scheduler()
+            payload = (
+                TenantBatchPayload(tenant="t0", requests=requests, plan=plan)
+                if batched
+                else scalar_payload
             )
-            scheduler = Scheduler(cluster, plugins=[NvGpuFreqPlugin()])
-            specs = [
-                JobSpec(
-                    name=f"job-{i}",
-                    n_nodes=1,
-                    exclusive=True,
-                    gres=frozenset({NVGPUFREQ_GRES}),
-                    payload=KernelBatchPayload(requests=requests, plan=plan)
-                    if batched
-                    else scalar_payload,
-                )
-                for i in range(3)
-            ]
+            specs = [_job_spec(f"job-{i}", payload) for i in range(3)]
             if batched:
                 return scheduler.submit_many(specs)
             return [scheduler.submit(spec) for spec in specs]
 
         scalar_jobs = run(False)
         batched_jobs = run(True)
-        scalar_agg = JobBatch.collect(scalar_jobs)
-        batched_agg = JobBatch.collect(batched_jobs)
-        assert list(scalar_agg["state"]) == ["COMPLETED"] * 3
-        assert list(batched_agg["state"]) == ["COMPLETED"] * 3
-        for key in ("gpu_energy_j", "start_s", "end_s"):
-            np.testing.assert_allclose(
-                batched_agg[key], scalar_agg[key], rtol=RTOL
-            )
         for a, b in zip(scalar_jobs, batched_jobs):
+            assert a.state.value == b.state.value == "COMPLETED"
+            for field in ("gpu_energy_j", "start_time_s", "end_time_s"):
+                assert getattr(b, field) == pytest.approx(
+                    getattr(a, field), rel=RTOL
+                ), field
             for sa, sb in zip(a.result["gpus"], b.result["gpus"]):
                 assert sa.keys() == sb.keys()
                 np.testing.assert_allclose(
                     list(sb.values()), list(sa.values()), rtol=RTOL
                 )
 
-    def test_board_energies_matches_accounted_energy(self, kernel_pool):
-        gpu = SimulatedGPU(NVIDIA_V100)
-        queue = SynergyQueue(gpu)
-        queue.submit_batch([(877, 1380, k) for k in kernel_pool])
-        queue.wait()
-        (total,) = board_energies([gpu], 0.0, gpu.clock.now)
-        assert total == pytest.approx(
-            gpu.energy_between(0.0, gpu.clock.now), rel=RTOL
-        )
+    def test_accounted_energy_matches_oracle(self, kernel_pool):
+        """A job's energy is the board integral over its window, summed
+        node-major, bit for bit."""
+        from repro.service.shard import TenantBatchPayload
+
+        requests = tuple((877, 1380, k) for k in kernel_pool)
+        scheduler = _v100_scheduler()
+        with oracle.single_blas_thread():
+            (job,) = scheduler.submit_many(
+                [_job_spec("job", TenantBatchPayload("t0", requests), n_nodes=2)]
+            )
+            want = 0.0
+            for node in job.nodes:
+                for gpu in node.gpus:
+                    want += oracle.energy_between_many(
+                        gpu, [job.start_time_s], [job.end_time_s]
+                    )[0]
+        assert job.gpu_energy_j == want
+
+    def test_submit_many_rejects_non_specs(self):
+        scheduler = _v100_scheduler()
+        with pytest.raises(ValidationError, match="JobSpec"):
+            scheduler.submit_many(["nope"])
+        assert scheduler.jobs == {}
 
 
 # ----------------------------------------------------------- observability
@@ -526,3 +560,34 @@ class TestBatchScalarProperties:
         e_base = float(np.sum(base.submit_batch(requests).energy_j))
         e_perm = float(np.sum(perm.submit_batch(shuffled).energy_j))
         assert e_perm == pytest.approx(e_base, rel=1e-9)
+
+
+class TestSubmitEntryPoints:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_submit_and_submit_many_account_identical_energy(self, plan, seed):
+        """One job stream through ``submit`` one by one and through
+        ``submit_many`` on fresh clusters: every job's ``gpu_energy_j``
+        is bitwise equal, whichever entry point ran it."""
+        from repro.apps import get_benchmark
+        from repro.service.shard import TenantBatchPayload
+
+        rng = np.random.default_rng(seed)
+        kernels = [get_benchmark(n).kernel for n in ("gemm", "sobel3", "median")]
+        specs = []
+        for i in range(6):
+            requests = tuple(
+                (TARGETS[rng.integers(len(TARGETS))], kernels[rng.integers(3)])
+                for _ in range(int(rng.integers(1, 6)))
+            )
+            payload = TenantBatchPayload(f"t{i % 2}", requests, plan=plan)
+            specs.append(_job_spec(f"job-{i}", payload, int(rng.integers(1, 3))))
+        scheduler = _v100_scheduler()
+        jobs_a = [scheduler.submit(spec) for spec in specs]
+        jobs_b = _v100_scheduler().submit_many(specs)
+        energy_a = np.asarray([j.gpu_energy_j for j in jobs_a])
+        energy_b = np.asarray([j.gpu_energy_j for j in jobs_b])
+        assert [j.state.value for j in jobs_a] == ["COMPLETED"] * 6
+        np.testing.assert_array_equal(
+            energy_a.view(np.int64), energy_b.view(np.int64)
+        )

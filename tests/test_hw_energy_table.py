@@ -2,9 +2,10 @@
 
 ``SimulatedGPU.energy_between_many`` integrates windows against a lazily
 maintained interval table, multiplying only the slice of it a batch
-touches; ``energy_between`` starts its walk by bisection. Both must give
-exactly the bits of the full-history versions in
-:mod:`tests.oracles.energy`. The property suite drives random timelines
+touches; ``energy_between`` is its one-window form. Both must give
+exactly the bits of the full-history product in
+:mod:`tests.oracles.energy`, and the full segment walk there stays an
+independent witness at rel 1e-12. The property suite drives random timelines
 (kernels, transfers, set/reset and equal-time clock changes, clock plans
 with merges, bulk segment runs) with queries interleaved between commits,
 so the table is refreshed from every kind of dirty horizon. Regression
@@ -102,7 +103,7 @@ def _extend(gpu: SimulatedGPU, gaps_durations, powers) -> None:
 
 
 def _query(gpu: SimulatedGPU, fractions) -> None:
-    """Both integrators over windows scaled to the history, vs the oracles."""
+    """Batched and one-window queries scaled to the history, vs the oracles."""
     origin = gpu._clock_times[0]
     span = max(gpu.clock.now - origin, 1e-3)
     t0 = np.asarray([origin + f * span for f, _ in fractions])
@@ -111,8 +112,12 @@ def _query(gpu: SimulatedGPU, fractions) -> None:
     want = oracle.energy_between_many(gpu, t0, t1)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     for a, b in zip(t0[:4], t1[:4]):
-        scalar = gpu.energy_between(float(a), float(b))
-        assert scalar == oracle.energy_between(gpu, float(a), float(b))
+        one = gpu.energy_between(float(a), float(b))
+        (want,) = oracle.energy_between_many(gpu, [a], [b])
+        assert np.float64(one).view(np.int64) == want.view(np.int64)
+        assert one == pytest.approx(
+            oracle.energy_between(gpu, float(a), float(b)), rel=1e-12, abs=0.0
+        )
 
 
 @pytest.fixture(autouse=True)

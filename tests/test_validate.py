@@ -276,3 +276,28 @@ def test_only_the_cli_imports_the_validation_plane():
             ):
                 offenders.append(f"{rel}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_no_module_reads_the_environment():
+    """Behaviour is set by arguments, not by environment variables."""
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                hit = (
+                    node.attr in reads
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                hit = any(alias.name in reads for alias in node.names)
+            else:
+                continue
+            if hit:
+                offenders.append(f"{rel}:{node.lineno}")
+    assert not offenders, offenders
