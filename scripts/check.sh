@@ -5,9 +5,9 @@
 # still get the full test run — the gate degrades, it never skips tests.
 # After tests: the repo determinism linter (always available — it ships in
 # src/repro), ruff when installed and a default `serve` session. Each
-# check runs once: tier-1 already holds the strict validation report
-# (tests/test_validate.py) and every `certify` certificate
-# (tests/test_analysis_certify.py), so neither CLI is re-run here.
+# check runs once: tier-1 already holds the physics invariant suites
+# (`pytest -m validate`) and every `certify` certificate
+# (tests/test_analysis_certify.py), so the certify CLI is not re-run here.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail

@@ -6,7 +6,8 @@ weak-scaling stencil graph) **without running it**, then replays the
 scenario and checks the measured quantities land inside the intervals.
 The static side only touches the timing/power models and the declared
 scenario recipe (launch counts, plan clocks, network constants); the
-measured side is the same virtual-time machinery the golden-trace tests
+measured side replays the scenario's recipe from
+:mod:`repro.obs.scenarios` untraced, the very run the golden-trace tests
 snapshot. A bracket failure therefore means the two independent
 derivations of the paper's §7 physics disagree — exactly the class of
 bug ``repro-synergy certify`` and ``tests/test_analysis_certify.py``
@@ -57,21 +58,25 @@ from repro.core.frequency import (
     DEFAULT_SWITCH_OVERHEAD_S,
 )
 from repro.core.predictor import FrequencyPredictor
-from repro.core.queue import SynergyQueue
 from repro.core.sweepcache import scoped_cache
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.experiments.sweep import sweep_kernel_2d
 from repro.hw.cache import models_for
-from repro.hw.device import SimulatedGPU
 from repro.hw.specs import NVIDIA_V100, GPUSpec, get_spec
 from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import DEADLINE, MIN_EDP
-from repro.mpi.launcher import launch_ranks
 from repro.mpi.network import NetworkModel
-from repro.obs.scenarios import SINGLE_GPU_KERNELS, _train_linear
-from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
-from repro.slurm.job import JobSpec
-from repro.slurm.plugin import NvGpuFreqPlugin
-from repro.slurm.scheduler import Scheduler
+from repro.obs.scenarios import (
+    MULTI_TENANT_SUBMISSIONS,
+    SINGLE_GPU_FIXED_CLOCKS,
+    SINGLE_GPU_KERNELS,
+    SINGLE_GPU_ROUNDS,
+    SLURM_FAULTS_NODES,
+    SLURM_FAULTS_STEPS,
+    _train_linear,
+    multi_tenant_run,
+    single_gpu_run,
+    slurm_faults_run,
+)
 
 
 # --------------------------------------------------------------- records
@@ -140,24 +145,13 @@ def _grid_hull(spec: GPUSpec, kernel: KernelIR) -> tuple[float, float, float, fl
     clocks, power-limit throttling and injected thermal caps all resolve
     to supported table clocks.
     """
-    timing_model, power_model = models_for(spec)
-    cores = np.asarray(spec.core_freqs_mhz, dtype=float)
-    t_lo = e_lo = float("inf")
-    t_hi = e_hi = 0.0
-    for mem in spec.mem_freqs_mhz:
-        timing = timing_model.sweep(kernel, cores, float(mem))
-        power = np.asarray(
-            power_model.power(
-                cores, float(mem), timing.core_power_utilization, timing.u_mem
-            ),
-            dtype=float,
-        )
-        energy = power * np.asarray(timing.time_s, dtype=float)
-        t_lo = min(t_lo, float(np.min(timing.time_s)))
-        t_hi = max(t_hi, float(np.max(timing.time_s)))
-        e_lo = min(e_lo, float(np.min(energy)))
-        e_hi = max(e_hi, float(np.max(energy)))
-    return t_lo, t_hi, e_lo, e_hi
+    grid = sweep_kernel_2d(spec, kernel)
+    return (
+        float(np.min(grid.time_s)),
+        float(np.max(grid.time_s)),
+        float(np.min(grid.energy_j)),
+        float(np.max(grid.energy_j)),
+    )
 
 
 # ------------------------------------------------------------ single-gpu
@@ -178,14 +172,12 @@ def certify_single_gpu(seed: int = 7) -> ScenarioCertificate:
         bundle = _train_linear(seed)
         predictor = FrequencyPredictor(bundle, spec)
         kernels = [get_benchmark(name).kernel for name in SINGLE_GPU_KERNELS]
-        mid_core = int(spec.core_freqs_mhz[len(spec.core_freqs_mhz) // 2])
         launches: list[tuple[KernelIR, int, int]] = []
-        for _round in range(2):
+        for _round in range(SINGLE_GPU_ROUNDS):
             for kernel in kernels:
                 mem, core = predictor.predict_frequency(kernel, MIN_EDP)
                 launches.append((kernel, int(mem), int(core)))
-        fixed = kernels[0]
-        launches.append((fixed, int(spec.default_mem_mhz), mid_core))
+        launches.append((kernels[0], *SINGLE_GPU_FIXED_CLOCKS))
 
         compute = 0.0
         energy = 0.0
@@ -204,32 +196,9 @@ def certify_single_gpu(seed: int = 7) -> ScenarioCertificate:
         makespan = Interval(compute, now)
         energy_iv = Interval.point(energy)
 
-        # Measured: the golden scenario verbatim, minus the tracing.
-        gpu = SimulatedGPU(spec, index=0)
-        queue = SynergyQueue(gpu, predictor=FrequencyPredictor(bundle, spec))
-        events = []
-        for _round in range(2):
-            for kernel in kernels:
-                events.append(
-                    queue.submit(
-                        MIN_EDP,
-                        lambda h, k=kernel: h.parallel_for(k.work_items, k),
-                    )
-                )
-        events.append(
-            queue.submit(
-                int(spec.default_mem_mhz),
-                mid_core,
-                lambda h: h.parallel_for(fixed.work_items, fixed),
-            )
-        )
-        queue.kernel_energy_consumption(events[0])
-        queue.kernel_energy_consumption(events[-1])
-        queue.device_energy_consumption()
-        queue.profiler.reset_window()
-        queue.device_energy_consumption()
-        queue.reset_frequency()
-        measured_makespan = float(gpu.clock.now)
+        # Measured: the golden recipe, untraced.
+        queue = single_gpu_run(bundle)
+        measured_makespan = float(queue.device.gpu.clock.now)
         measured_energy = float(queue.summary()["kernel_energy_j"])
     return ScenarioCertificate(
         scenario="single-gpu",
@@ -259,8 +228,8 @@ def certify_slurm_faults(seed: int = 7) -> ScenarioCertificate:
     """
     spec = NVIDIA_V100
     oh = DEFAULT_SWITCH_OVERHEAD_S
-    app = CloverLeaf(steps=2)
-    n_ranks = 4
+    app = CloverLeaf(steps=SLURM_FAULTS_STEPS)
+    n_ranks = SLURM_FAULTS_NODES
     with scoped_cache():
         bundle = _train_linear(seed)
         compiled = SynergyCompiler(bundle, spec).compile(
@@ -274,7 +243,7 @@ def certify_slurm_faults(seed: int = 7) -> ScenarioCertificate:
             step_time += t
             step_energy += p * t
 
-        node_of_rank = list(range(n_ranks))  # 4 nodes × 1 GPU
+        node_of_rank = list(range(n_ranks))  # one GPU per node
         net = NetworkModel()
         halo = app.halo_bytes()
         hop = [
@@ -301,33 +270,9 @@ def certify_slurm_faults(seed: int = 7) -> ScenarioCertificate:
             n_ranks * elapsed.hi * p_peak,
         )
 
-        # Measured: the golden scenario verbatim, minus the tracing.
-        fault_plan = FaultPlan(
-            seed=seed,
-            specs=(FaultSpec(site="nvml.set_clocks", at_s=0.0, count=1),),
-        )
-        cluster = Cluster.build(
-            spec,
-            n_nodes=n_ranks,
-            gpus_per_node=1,
-            gres={NVGPUFREQ_GRES},
-            fault_plan=fault_plan,
-        )
-        scheduler = Scheduler(cluster, plugins=[NvGpuFreqPlugin()])
-
-        def payload(context):
-            comm = launch_ranks(context)
-            return app.run(comm, target=MIN_EDP, plan=compiled.plan)
-
-        job = scheduler.submit(
-            JobSpec(
-                name="cloverleaf-min_edp",
-                n_nodes=n_ranks,
-                exclusive=True,
-                gres=frozenset({NVGPUFREQ_GRES}),
-                payload=payload,
-            )
-        )
+        # Measured: the golden recipe, untraced.
+        scheduler = slurm_faults_run(app, compiled.plan, seed)
+        (job,) = scheduler.jobs.values()
         report = job.result
     return ScenarioCertificate(
         scenario="slurm-faults",
@@ -415,23 +360,17 @@ def certify_multi_tenant(seed: int = 7) -> ScenarioCertificate:
     Makespan is ill-defined for the plane (shards idle-wait between
     seeded arrivals), so this certificate is energy-only.
     """
-    from repro.service.loadgen import DEFAULT_KERNELS, run_service_session
+    from repro.service.loadgen import DEFAULT_KERNELS
 
     spec = NVIDIA_V100
-    n_submissions = 128
+    n_submissions = MULTI_TENANT_SUBMISSIONS
     with scoped_cache():
         cap = max(
             _grid_hull(spec, get_benchmark(name).kernel)[3]
             for name in DEFAULT_KERNELS
         )
         energy_iv = Interval(0.0, n_submissions * cap)
-        service = run_service_session(
-            seed=seed,
-            n_tenants=8,
-            n_submissions=n_submissions,
-            n_partitions=4,
-            n_cycles=4,
-        )
+        service = multi_tenant_run(seed)
         cluster = service.report()["cluster"]
         measured = float(cluster["kernel_energy_j"])
         drained = int(cluster["drained"])
@@ -518,17 +457,15 @@ def certify_weak_scaling(spec_name: str = "A100") -> ScenarioCertificate:
 # ---------------------------------------------------------- DEADLINE demo
 
 
-def deadline_demo(seed: int = 7) -> tuple[PlanCertificate, PlanCertificate]:
+def deadline_demo() -> tuple[PlanCertificate, PlanCertificate]:
     """A feasible and a deliberately infeasible DEADLINE certificate.
 
     Both plans pin the board's fastest clocks for the single-GPU kernel
     set. The feasible deadline doubles the slowest static time, so the
     proof goes through; the infeasible one halves the *fastest* static
     time, which no supported clock can meet — the refutation names the
-    first witness kernel. The ``seed`` argument is accepted for symmetry
-    with the scenario certifiers (the demo is deterministic either way).
+    first witness kernel. Static physics only: there is nothing to seed.
     """
-    del seed  # deterministic: static physics only
     spec = NVIDIA_V100
     with scoped_cache():
         kernels = [get_benchmark(name).kernel for name in SINGLE_GPU_KERNELS]

@@ -17,11 +17,6 @@ exposes the deployment and analysis workflows:
   injected thermal-throttle windows (see ``docs/RESILIENCE.md``),
 - ``trace`` — run a seeded observability scenario and export its Chrome
   trace and metrics documents (see ``docs/OBSERVABILITY.md``),
-- ``validate`` — run the invariant catalog over real sweeps, power-cap
-  states and the golden scenarios' traces (``--only
-  sweeps|powercap|scenarios``; see ``docs/VALIDATION.md``); ``--strict``
-  also fails on warnings (tier-1 runs the strict report in
-  ``tests/test_validate.py``),
 - ``analyze`` — run the §6.1 static-analysis front end over one kernel
   (``module:fn``, ``file.py:fn`` or a backed kernel name) and print its
   Table-1 features, locality and diagnostics (see ``docs/FRONTEND.md``),
@@ -72,6 +67,20 @@ from repro.metrics.targets import EnergyTarget
 
 def _parse_targets(names: Sequence[str]) -> list[EnergyTarget]:
     return [EnergyTarget.parse(n) for n in names]
+
+
+def _app_factory(args: argparse.Namespace):
+    """The ``--app`` mini-app as a zero-argument factory at ``--steps``."""
+    app = {"cloverleaf": CloverLeaf, "miniweather": MiniWeather}[args.app]
+    return lambda: app(steps=args.steps)
+
+
+def _bundle_or_none(args: argparse.Namespace) -> EnergyModelBundle | None:
+    """The ``--bundle`` file, or ``None`` so the experiment trains defaults."""
+    if args.bundle:
+        return load_bundle(args.bundle)
+    print("no --bundle given; training default models ...", file=sys.stderr)
+    return None
 
 
 # ------------------------------------------------------------------ commands
@@ -233,13 +242,8 @@ def _cmd_accuracy(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    factory = {
-        "cloverleaf": lambda: CloverLeaf(steps=args.steps),
-        "miniweather": lambda: MiniWeather(steps=args.steps),
-    }[args.app]
-    bundle = load_bundle(args.bundle) if args.bundle else None
-    if bundle is None:
-        print("no --bundle given; training default models ...", file=sys.stderr)
+    factory = _app_factory(args)
+    bundle = _bundle_or_none(args)
     result = run_scaling_experiment(
         factory,
         gpu_counts=tuple(args.gpus),
@@ -272,18 +276,13 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import FaultSpec
 
-    factory = {
-        "cloverleaf": lambda: CloverLeaf(steps=args.steps),
-        "miniweather": lambda: MiniWeather(steps=args.steps),
-    }[args.app]
+    factory = _app_factory(args)
     extra: tuple[FaultSpec, ...] = ()
     spare = 0
     if args.node_fail_at is not None:
         extra = (FaultSpec(site="slurm.node_fail", at_s=args.node_fail_at),)
         spare = 1  # keep a healthy node for the requeue
-    bundle = load_bundle(args.bundle) if args.bundle else None
-    if bundle is None:
-        print("no --bundle given; training default models ...", file=sys.stderr)
+    bundle = _bundle_or_none(args)
     target = None if args.target == "default" else EnergyTarget.parse(args.target)
     result = run_fault_sweep(
         factory,
@@ -412,47 +411,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.validate.runner import GOLDEN_SCENARIOS, run_validation
-
-    scenarios = tuple(args.scenario) if args.scenario else GOLDEN_SCENARIOS
-    only = tuple(args.only) if args.only else None
-    print(
-        f"running validation (scenarios={list(scenarios)}, "
-        f"sections={list(only) if only else 'all'}, seed={args.seed}) ...",
-        file=sys.stderr,
-    )
-    report = run_validation(scenarios, seed=args.seed, only=only)
-    # One row per check name: the catalog view; individual failures follow.
-    by_name: dict[str, list] = {}
-    for r in report.results:
-        by_name.setdefault(r.name, []).append(r)
-    rows = []
-    for name in sorted(by_name):
-        group = by_name[name]
-        bad = [r for r in group if not r.passed]
-        rows.append([name, len(group), len(group) - len(bad),
-                     "ok" if not bad else bad[0].status.upper()])
-    print(
-        format_table(
-            ["check", "runs", "passed", "verdict"],
-            rows,
-            title=f"Validation plane ({len(report.results)} checks)",
-        )
-    )
-    for r in report.results:
-        if not r.passed:
-            print(f"{r.status:>4}  {r.name}: {r.detail}")
-    if args.json:
-        write_json(report.as_dict(), args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
-    ok = report.ok(strict=args.strict)
-    print(f"validation {'passed' if ok else 'FAILED'} "
-          f"({len(report.failures)} failures, {len(report.warnings)} warnings"
-          f"{', strict' if args.strict else ''})")
-    return 0 if ok else 1
 
 
 def _cmd_fine_vs_coarse(args: argparse.Namespace) -> int:
@@ -802,7 +760,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         for note in cert.notes:
             print(f"  {name}: {note}", file=sys.stderr)
 
-    cert_ok, cert_bad = deadline_demo(seed=args.seed)
+    cert_ok, cert_bad = deadline_demo()
     demo_ok = (
         cert_ok.feasible
         and not cert_bad.feasible
@@ -951,22 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None,
                    help="also write the flat metrics document here")
     p.set_defaults(fn=_cmd_trace)
-
-    p = sub.add_parser("validate", help="run the invariant catalog over "
-                       "sweeps, power caps and golden traces")
-    from repro.validate.runner import SECTIONS
-
-    p.add_argument("--scenario", nargs="+", choices=sorted(SCENARIOS),
-                   default=None,
-                   help="golden scenarios to replay (default: all)")
-    p.add_argument("--only", nargs="+", choices=SECTIONS, default=None,
-                   help="restrict to these report sections")
-    p.add_argument("--strict", action="store_true",
-                   help="fail on warnings too (the CI contract)")
-    p.add_argument("--seed", type=int, default=7, help="seeded-case seed")
-    p.add_argument("--json", default=None,
-                   help="export the full report to a JSON file")
-    p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("analyze", help="run the §6.1 front end over a kernel, "
                        "print features + diagnostics")

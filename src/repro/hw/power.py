@@ -96,7 +96,7 @@ class PowerModel:
         """The reachable ``[P_idle, P_peak]`` average-power envelope (W).
 
         Any measured or modeled average kernel power must land in this
-        interval — the physical sanity bound the validation plane checks
+        interval — the physical sanity bound the sweep-physics tests check
         every sweep against.
         """
         return self.spec.idle_power_w, self.peak_power()

@@ -13,7 +13,7 @@ matrix ``T = (k, f, e, t, edp, ed2p)``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -65,12 +65,3 @@ def feature_matrix(kernels: Iterable[KernelIR]) -> np.ndarray:
         return np.empty((0, N_FEATURES), dtype=float)
     return np.vstack(rows)
 
-
-def describe_features(vector: Sequence[float]) -> dict[str, float]:
-    """Label a raw feature vector with the Table-1 feature names."""
-    values = list(vector)
-    if len(values) != N_FEATURES:
-        raise ValueError(
-            f"expected {N_FEATURES} features, got {len(values)}"
-        )
-    return dict(zip(FEATURE_NAMES, map(float, values)))

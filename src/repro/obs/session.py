@@ -146,44 +146,6 @@ def absorb_fault_log(trace: TraceSession, log) -> None:
         m.counter(f"faults.site.{site}").value = n
 
 
-def absorb_validation(trace: TraceSession, report) -> None:
-    """Pull a ValidationReport's verdict into the metrics plane.
-
-    Counters for checks run / hard failures / warnings plus a 0-or-1
-    ``validate.passed`` gauge, so an exported metrics document carries
-    the invariant-plane verdict alongside the physics it validated.
-    """
-    if not trace.enabled:
-        return
-    m = trace.metrics
-    m.counter("validate.checks").value = len(report.results)
-    m.counter("validate.failures").value = len(report.failures)
-    m.counter("validate.warnings").value = len(report.warnings)
-    m.set_gauge("validate.passed", 1.0 if report.passed else 0.0)
-
-
-def absorb_engine(trace: TraceSession, result, prefix: str = "engine") -> None:
-    """Pull a :class:`~repro.engine.executor.BatchResult`'s totals into
-    the metrics plane.
-
-    One aggregate pass: batch size, effective switches, summed time and
-    energy, plus whether (and why) the batch fell back to the per-event
-    scalar path.
-    """
-    if not trace.enabled:
-        return
-    m = trace.metrics
-    summary = result.summary()
-    m.inc(f"{prefix}.kernels", int(summary["kernels"]))
-    m.inc(f"{prefix}.switches", int(summary["clock_switches"]))
-    if result.fallback is not None:
-        m.inc(f"{prefix}.fallbacks.{result.fallback}")
-    h = m.histogram(f"{prefix}.batch_kernels")
-    h.observe(float(len(result)))
-    m.set_gauge(f"{prefix}.last_batch_time_s", summary["kernel_time_s"])
-    m.set_gauge(f"{prefix}.last_batch_energy_j", summary["kernel_energy_j"])
-
-
 def absorb_service(trace: TraceSession, service) -> None:
     """Pull the service plane's tenancy accounting into the metrics plane.
 

@@ -21,7 +21,6 @@ ALL_SUBCOMMANDS = [
     "faults",
     "fine-vs-coarse",
     "trace",
-    "validate",
     "analyze",
     "certify",
     "lint",
@@ -196,30 +195,6 @@ def test_trace_without_metrics_flag_writes_only_trace(tmp_path):
     assert not (tmp_path / "metrics.json").exists()
 
 
-# ----------------------------------------------------------- smoke: validate
-
-def test_validate_powercap_section_writes_report_json(tmp_path, capsys):
-    out = tmp_path / "validation.json"
-    assert main(["validate", "--only", "powercap", "--json", str(out)]) == 0
-    stdout = capsys.readouterr().out
-    assert "Validation plane" in stdout
-    assert "validation passed" in stdout
-    doc = json.loads(out.read_text())
-    assert doc["kind"] == "validation_report"
-    assert doc["passed"] is True
-    assert doc["failures"] == 0
-    assert doc["checks"] == len(doc["results"])
-    names = {r["name"] for r in doc["results"]}
-    assert "powercap.budget_conserved" in names
-    assert "powercap.audit_matches_nvml" in names
-
-
-def test_validate_strict_scenario_subset(capsys):
-    assert main(["validate", "--strict", "--scenario", "single-gpu",
-                 "--only", "scenarios"]) == 0
-    assert "strict" in capsys.readouterr().out
-
-
 def test_adapt_writes_comparison_json(tmp_path, capsys):
     out = tmp_path / "thermal_drift.json"
     assert main(["adapt", "--json", str(out)]) == 0
@@ -349,21 +324,6 @@ def test_sweep_unknown_benchmark_raises():
 
     with pytest.raises(ConfigurationError, match="unknown SYCL benchmark"):
         main(["sweep", "--benchmark", "nope", "--targets", "MIN_EDP"])
-
-
-def test_validate_unknown_scenario_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "--scenario", "warp-drive"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-
-
-def test_validate_unknown_section_exits_2(capsys):
-    for section in ("nope", "engine"):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", "--only", section])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_certify_weak_scaling_writes_report_json(tmp_path, capsys):

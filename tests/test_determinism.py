@@ -1,5 +1,8 @@
 """Repository-wide determinism guarantees (fast checks)."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -125,3 +128,28 @@ def test_microbench_generation_stable_across_calls():
     assert [(k.name, k.mix, k.locality) for k in a] == [
         (k.name, k.mix, k.locality) for k in b
     ]
+
+
+def test_no_module_reads_the_environment():
+    """Behaviour is set by arguments, not by environment variables."""
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                hit = (
+                    node.attr in reads
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                )
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                hit = any(alias.name in reads for alias in node.names)
+            else:
+                continue
+            if hit:
+                offenders.append(f"{rel}:{node.lineno}")
+    assert not offenders, offenders

@@ -35,7 +35,7 @@ from repro.metrics.targets import (
     MIN_ENERGY,
     SLA_SLACK,
 )
-from repro.obs.session import TraceSession, absorb_engine
+from repro.obs.session import TraceSession
 
 pytestmark = pytest.mark.engine
 
@@ -401,17 +401,6 @@ class TestSubmitMany:
 
 
 class TestAbsorbEngine:
-    def test_absorb_engine_rolls_up_batch_totals(self, v100, kernel_pool):
-        trace = TraceSession()
-        queue = SynergyQueue(v100)
-        result = queue.submit_batch([(877, 1380, k) for k in kernel_pool])
-        absorb_engine(trace, result)
-        assert trace.metrics.counter("engine.kernels").value == 3
-        assert (
-            trace.metrics.counter("engine.switches").value
-            == result.n_switches
-        )
-
     def test_batch_result_arrays_are_frozen(self, v100, kernel_pool):
         result = SynergyQueue(v100).submit_batch([kernel_pool[0]])
         with pytest.raises(ValueError):

@@ -74,3 +74,12 @@ def test_invalid_floors_rejected():
 def test_mi100_model_builds():
     pm = PowerModel(AMD_MI100)
     assert pm.peak_power() > 200.0
+
+
+def test_power_bounds_helper():
+    from repro.hw.cache import models_for
+
+    _, power_model = models_for(NVIDIA_V100)
+    idle, peak = power_model.power_bounds()
+    assert idle == NVIDIA_V100.idle_power_w
+    assert peak == power_model.peak_power() and peak > idle

@@ -7,7 +7,6 @@ from repro.common.errors import ValidationError
 from repro.kernelir.features import (
     FEATURE_NAMES,
     N_FEATURES,
-    describe_features,
     extract_features,
     feature_matrix,
 )
@@ -116,15 +115,6 @@ class TestFeatureExtraction:
 
     def test_feature_matrix_empty(self):
         assert feature_matrix([]).shape == (0, N_FEATURES)
-
-    def test_describe_features(self):
-        labels = describe_features(np.arange(10.0))
-        assert labels["int_add"] == 0.0
-        assert labels["loc_access"] == 9.0
-
-    def test_describe_wrong_length(self):
-        with pytest.raises(ValueError):
-            describe_features([1.0, 2.0])
 
 
 class TestMicrobenchGenerator:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.pareto import front_violations
 from repro.common.errors import ValidationError
 from repro.metrics.pareto import pareto_front_mask, pareto_points
 
@@ -60,3 +61,14 @@ def test_shape_mismatch_rejected():
 def test_2d_input_rejected():
     with pytest.raises(ValidationError):
         pareto_front_mask(np.ones((2, 2)), np.ones((2, 2)))
+
+
+def test_front_violations_helper():
+    s = [1.0, 1.2, 0.9, 1.1]
+    e = [1.0, 0.9, 1.1, 0.8]
+    mask = pareto_front_mask(s, e)
+    assert front_violations(s, e, mask) == (0, 0)
+    # Claim a dominated point is on the front and drop a true front point.
+    bad = [True, False, True, True]
+    dominated_front, uncovered_off = front_violations(s, e, bad)
+    assert dominated_front > 0 and uncovered_off > 0

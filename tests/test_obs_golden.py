@@ -2,7 +2,10 @@
 
 Each seeded scenario must export byte-identical Chrome trace and metrics
 documents on every run, and those bytes must match the snapshots under
-``tests/golden/``. To refresh the snapshots after an intentional change::
+``tests/golden/``. Every scenario's recording must also be sane: spans
+close no earlier than they open, no timestamp is negative or non-finite,
+no counter is negative, and every histogram's buckets sum to its count.
+To refresh the snapshots after an intentional change::
 
     PYTHONPATH=src python -m pytest tests/test_obs_golden.py --update-golden
 
@@ -11,6 +14,7 @@ then review and commit the diff (see docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
@@ -64,10 +68,29 @@ def test_two_same_seed_runs_are_byte_identical(name):
     assert metrics1 == metrics2
 
 
+def _assert_recording_is_sane(session) -> None:
+    """Virtual clocks never ran backwards and the metrics add up."""
+    for span in session.tracer.spans:
+        assert math.isfinite(span.t0) and math.isfinite(span.t1)
+        assert 0.0 <= span.t0 <= span.t1, span
+    for inst in session.tracer.instants:
+        assert math.isfinite(inst.t) and inst.t >= 0.0, inst
+    doc = session.metrics.as_dict()
+    negative = [k for k, v in doc["counters"].items() if v < 0]
+    assert not negative, negative
+    inconsistent = [
+        k for k, h in doc["histograms"].items()
+        if sum(h["counts"]) != h["count"]
+    ]
+    assert not inconsistent, inconsistent
+
+
+@pytest.mark.validate
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_export_matches_golden_snapshot(name, request):
     session, trace_doc, metrics_doc = _render(name)
     assert session.tracer.open_spans() == []
+    _assert_recording_is_sane(session)
     trace_path = GOLDEN_DIR / f"{name}.trace.json"
     metrics_path = GOLDEN_DIR / f"{name}.metrics.json"
     if request.config.getoption("--update-golden"):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles.pareto import front_violations
 from repro.metrics.energy import ed2p, edp
 from repro.metrics.pareto import pareto_front_mask, pareto_points
 from repro.metrics.targets import EnergyTarget, TargetKind
@@ -44,6 +45,14 @@ class TestParetoProperties:
                     s[j] >= s[i] and e[j] <= e[i] and (s[j] > s[i] or e[j] < e[i])
                 )
                 assert not strictly_dominates
+
+    @given(_sweeps())
+    @settings(max_examples=60)
+    def test_every_off_front_point_is_dominated_by_the_front(self, sweep):
+        speedup, energy, _ = sweep
+        mask = pareto_front_mask(speedup, energy)
+        _, uncovered_off = front_violations(speedup, energy, mask)
+        assert uncovered_off == 0
 
     @given(_sweeps())
     @settings(max_examples=60)
