@@ -11,7 +11,7 @@ library. :class:`SynergyCompiler` performs the same steps over
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.core.models import EnergyModelBundle
@@ -241,6 +241,14 @@ def plan_global_frequencies(
     MAX_PERF clock (the baseline plan). Infeasible ranks fall back to
     MAX_PERF.
 
+    A rank's row depends only on its *ordered kernel multiset* (distinct
+    kernels in first-appearance order, with counts — the order fixes the
+    float sums of the serial totals), so rows are computed once per
+    multiset and the slack scan once per ``(multiset, is_critical)``,
+    then broadcast to the ranks: a stencil plan costs three scans
+    however many ranks it spans. The critical rank is the *first* rank
+    with the largest MAX_PERF time.
+
     Two invariants hold by construction and are re-checked on *executed*
     graphs by ``tests/test_distributed.py``: total
     planned energy never exceeds the all-MAX_PERF energy, and every
@@ -264,45 +272,55 @@ def plan_global_frequencies(
             "MIN_ENERGY or MAX_PERF"
         )
 
+    # Ranks running the same kernel sequence share one plan row; rows
+    # with the same ordered kernel multiset share one sweep-row stack.
+    seq_index: dict[tuple[int, ...], int] = {}
+    seqs: list[Sequence[KernelIR]] = []
+    seq_of_rank = []
+    for ks in rank_kernels:
+        key = tuple(map(id, ks))
+        i = seq_index.get(key)
+        if i is None:
+            i = seq_index[key] = len(seqs)
+            seqs.append(ks)
+        seq_of_rank.append(i)
+
     # One sweep per distinct kernel object: time/energy columns over the
     # device's full core table at the default memory clock.
     sweeps: dict[int, object] = {}
-    for ks in rank_kernels:
+    multisets: dict[tuple[tuple[int, int], ...], int] = {}
+    set_of_seq = []
+    for ks in seqs:
+        mult: dict[int, int] = {}
         for k in ks:
             if id(k) not in sweeps:
                 sweeps[id(k)] = sweep_kernel(spec, k, cache=cache)
-
-    n_ranks = len(rank_kernels)
-    # Per rank: serial time/energy columns over the table, per-kernel
-    # duration matrix for the SLA guard.
-    rank_rows = []
-    for ks in rank_kernels:
-        mult: dict[int, int] = {}
-        for k in ks:
             mult[id(k)] = mult.get(id(k), 0) + 1
-        time_rows = np.stack([sweeps[i].time_s for i in mult])
-        energy_rows = np.stack([sweeps[i].energy_j for i in mult])
-        counts = np.asarray([mult[i] for i in mult], dtype=float)
-        rank_rows.append((time_rows, counts @ time_rows, counts @ energy_rows))
+        set_of_seq.append(multisets.setdefault(tuple(mult.items()), len(multisets)))
 
-    # Rank-level MAX_PERF: the uniform clock minimizing serial time.
-    i_mp = [int(np.argmin(total_t)) for _, total_t, _ in rank_rows]
-    maxperf_t = [float(rank_rows[r][1][i_mp[r]]) for r in range(n_ranks)]
-    maxperf_e = [float(rank_rows[r][2][i_mp[r]]) for r in range(n_ranks)]
-    critical = int(max(range(n_ranks), key=maxperf_t.__getitem__))
-    budget = sla_factor * maxperf_t[critical]
+    # Per multiset: serial time/energy columns over the table, per-kernel
+    # duration matrix for the SLA guard, and the MAX_PERF index (the
+    # uniform clock minimizing serial time).
+    rows = []
+    for mult in multisets:
+        time_rows = np.stack([sweeps[i].time_s for i, _ in mult])
+        energy_rows = np.stack([sweeps[i].energy_j for i, _ in mult])
+        counts = np.asarray([c for _, c in mult], dtype=float)
+        total_t = counts @ time_rows
+        rows.append((time_rows, total_t, counts @ energy_rows, int(np.argmin(total_t))))
+    set_of_rank = np.asarray(set_of_seq)[seq_of_rank]
+    maxperf_t = [float(t[i]) for _, t, _, i in rows]
+    maxperf_e = [float(e[i]) for _, _, e, i in rows]
+    # The critical rank is the *first* rank with the largest MAX_PERF time.
+    critical = int(np.argmax(np.asarray(maxperf_t)[set_of_rank]))
+    budget = sla_factor * maxperf_t[int(set_of_rank[critical])]
 
     freqs = next(iter(sweeps.values())).freqs_mhz
-    rank_targets: list[str] = []
-    rank_clocks: list[tuple[int, int]] = []
-    est_t: list[float] = []
-    est_e: list[float] = []
-    entries: dict[tuple[int, str], tuple[int, int]] = {}
-    for rank, ks in enumerate(rank_kernels):
-        time_rows, total_t, total_e = rank_rows[rank]
-        best = i_mp[rank]
+
+    def choose(time_rows, total_t, total_e, best, slack):
+        """(target, clocks, est. time, est. energy) of one rank's row."""
         name = "MAX_PERF"
-        if objective != "MAX_PERF" and rank != critical:
+        if slack and objective != "MAX_PERF":
             per_kernel_ok = np.all(
                 time_rows <= sla_factor * time_rows[:, [best]], axis=0
             )
@@ -320,22 +338,30 @@ def plan_global_frequencies(
                 if cand != best:
                     best, name = cand, objective
         pair = (spec.default_mem_mhz, int(freqs[best]))
-        rank_targets.append(name)
-        rank_clocks.append(pair)
-        est_t.append(float(total_t[best]))
-        est_e.append(float(total_e[best]))
-        for k in ks:
-            entries[(rank, k.name)] = pair
+        return name, pair, float(total_t[best]), float(total_e[best])
+
+    # The slack scan runs once per multiset; the critical rank keeps its
+    # MAX_PERF clock.
+    slack_choice = [choose(*row, slack=True) for row in rows]
+    set_list = set_of_rank.tolist()
+    choice = [slack_choice[g] for g in set_list]
+    choice[critical] = choose(*rows[set_list[critical]], slack=False)
+    names_of_seq = [list(dict.fromkeys(k.name for k in ks)) for ks in seqs]
+    entries = {
+        (rank, name): c[1]
+        for rank, (c, seq) in enumerate(zip(choice, seq_of_rank))
+        for name in names_of_seq[seq]
+    }
     return GlobalFrequencyPlan(
         device_name=spec.name,
         sla_factor=float(sla_factor),
         budget_s=float(budget),
         critical_rank=critical,
-        rank_targets=tuple(rank_targets),
-        rank_clocks=tuple(rank_clocks),
+        rank_targets=tuple(c[0] for c in choice),
+        rank_clocks=tuple(c[1] for c in choice),
         entries=entries,
-        est_time_s=tuple(est_t),
-        est_energy_j=tuple(est_e),
-        maxperf_time_s=tuple(maxperf_t),
-        maxperf_energy_j=tuple(maxperf_e),
+        est_time_s=tuple(c[2] for c in choice),
+        est_energy_j=tuple(c[3] for c in choice),
+        maxperf_time_s=tuple(maxperf_t[g] for g in set_list),
+        maxperf_energy_j=tuple(maxperf_e[g] for g in set_list),
     )

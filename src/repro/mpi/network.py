@@ -10,7 +10,10 @@ inter-group messages (groups of ``nodes_per_group`` nodes).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.common.errors import ValidationError
 
@@ -56,7 +59,29 @@ class NetworkModel:
                 latency += self.inter_group_extra_latency_s
         return self.software_overhead_s + latency + nbytes / bandwidth
 
-    def allreduce_time(self, nbytes: float, node_ids: list[int]) -> float:
+    def transfer_times(
+        self, nbytes: float, nodes_a: np.ndarray, nodes_b: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`transfer_time` over arrays of node pairs.
+
+        A cost depends only on the pair's locality class (same node, same
+        group, across groups), so :meth:`transfer_time` runs once per class
+        present and every pair takes its class's value bit for bit.
+        """
+        nodes_a = np.asarray(nodes_a, dtype=np.int64)
+        nodes_b = np.asarray(nodes_b, dtype=np.int64)
+        group = self.nodes_per_group
+        klass = np.where(
+            nodes_a == nodes_b, 0, np.where(nodes_a // group == nodes_b // group, 1, 2)
+        )
+        out = np.empty(len(klass))
+        for k in np.unique(klass):
+            sel = klass == k
+            i = int(np.argmax(sel))
+            out[sel] = self.transfer_time(nbytes, int(nodes_a[i]), int(nodes_b[i]))
+        return out
+
+    def allreduce_time(self, nbytes: float, node_ids: Sequence[int]) -> float:
         """Cost (s) of a ring-style allreduce over ranks on ``node_ids``.
 
         Standard ring model: ``2·(p−1)/p`` of the payload crosses the
@@ -65,8 +90,8 @@ class NetworkModel:
         p = len(node_ids)
         if p <= 1:
             return 0.0
-        worst_step = max(
-            self.transfer_time(nbytes / p, node_ids[i], node_ids[(i + 1) % p])
-            for i in range(p)
+        nodes = np.asarray(node_ids, dtype=np.int64)
+        worst_step = float(
+            self.transfer_times(nbytes / p, nodes, np.roll(nodes, -1)).max()
         )
         return 2.0 * (p - 1) * worst_step

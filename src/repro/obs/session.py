@@ -15,13 +15,8 @@ exported document accounts for a whole run.
 
 from __future__ import annotations
 
-from repro.obs.metrics import (
-    DEFAULT_BOUNDS,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
-)
-from repro.obs.tracer import NULL_SPAN_CONTEXT, NullTracer, Tracer, NULL_TRACER
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.tracer import NULL_SPAN_CONTEXT, NULL_TRACER, Tracer
 
 
 class TraceSession:

@@ -17,7 +17,6 @@ import dataclasses
 import re
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +26,7 @@ from repro.analysis.graphaudit import (
     audit_timed_accesses,
     find_cycle,
 )
-from repro.distributed.graph import HALO, KERNEL
+from repro.distributed.graph import HALO_CODE, KERNEL_CODE
 from repro.distributed.runner import build_comm
 from repro.distributed.stencil import build_stencil_graph
 from repro.hw.device import SimulatedGPU
@@ -72,16 +71,23 @@ def test_stencil_graph_audit_is_clean():
 
 
 def _drop_halo_deps(graph) -> int:
-    """Detach every kernel node from its halo dependencies; returns count."""
-    halos = {n.nid for n in graph.nodes if n.kind == HALO}
+    """Detach every kernel node from its halo dependencies; returns count.
+
+    Rewrites the graph's storage: each wave's dependency rows lose their
+    halo ids and stay ascending, padded with ``-1``.
+    """
+    halos = np.concatenate(
+        [w.start + np.flatnonzero(w.kind == HALO_CODE) for w in graph.waves]
+    )
     dropped = 0
-    for i, node in enumerate(graph.nodes):
-        if node.kind != KERNEL:
-            continue
-        kept = tuple(d for d in node.deps if d not in halos)
-        if kept != node.deps:
-            graph.nodes[i] = dataclasses.replace(node, deps=kept)
-            dropped += 1
+    for w, wave in enumerate(graph.waves):
+        drop = (wave.kind == KERNEL_CODE)[:, None] & np.isin(wave.deps, halos)
+        dropped += int(drop.any(axis=1).sum())
+        kept = [sorted(row[(row >= 0) & ~gone]) for row, gone in zip(wave.deps, drop)]
+        deps = np.full(wave.deps.shape, -1, dtype=np.int64)
+        for i, row in enumerate(kept):
+            deps[i, : len(row)] = row
+        graph.waves[w] = dataclasses.replace(wave, deps=deps)
     return dropped
 
 

@@ -4,7 +4,6 @@ import ast
 import pathlib
 
 import numpy as np
-import pytest
 
 from repro.apps import get_benchmark
 from repro.core.models import EnergyModelBundle, build_training_set

@@ -3,19 +3,26 @@
 Coverage for the tentpole layers: distributed ranges/buffers/accesses,
 dependency-edge derivation (RAW through halo pulls, WAR against
 same-wave neighbour transfers, WAW through last writers, gather
-collectives), the global frequency planner (rank-uniform clocks, the
-critical path at MAX_PERF, slack ranks downclocked inside the SLA
-budget), parity between the wave-vectorized executor and the per-rank
-queue walk in ``tests/oracles/graph.py`` (plain, power-capped and
-fault-armed communicators), the boards it rejects, and the retroactive
-per-rank trace tracks.
+collectives), the array builder against the per-rank builder in
+``tests/oracles/builder.py``, the global frequency planner (rank-uniform
+clocks, the critical path at MAX_PERF, slack ranks downclocked inside
+the SLA budget) against the per-rank planner in
+``tests/oracles/planner.py``, parity between the wave-vectorized
+executor and the per-rank queue walk in ``tests/oracles/graph.py``
+(plain, power-capped and fault-armed communicators), the boards it
+rejects, the fast path's no-node guarantee, and the retroactive per-rank
+trace tracks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.distributed.graph as graph_module
+import repro.distributed.stencil as stencil_module
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.compiler import plan_global_frequencies
 from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
@@ -35,7 +42,9 @@ from repro.hw.specs import get_spec
 from repro.sycl import DistributedAccess, DistributedBuffer, DistributedRange
 from repro.sycl.accessor import AccessMode
 
+from oracles import builder as builder_oracle
 from oracles import graph as oracle
+from oracles import planner as planner_oracle
 
 pytestmark = pytest.mark.distributed
 
@@ -267,6 +276,123 @@ class TestGraphDerivation:
         assert "gemm" in names0 and "gemm" not in names_mid
 
 
+#: The weak-scaling curve of perfbench's ``distributed`` workload.
+CURVE = (256, 512, 1024, 2048, 4096)
+
+
+def _oracle_stencil(monkeypatch, comm, **kwargs):
+    """The stencil built by the per-rank reference builder."""
+    with monkeypatch.context() as patch:
+        patch.setattr(stencil_module, "CommandGraph", builder_oracle.CommandGraph)
+        return build_stencil_graph(comm, **kwargs)
+
+
+def _assert_same_graph(graph, ref) -> None:
+    assert len(graph.nodes) == len(ref.nodes)
+    assert builder_oracle.node_table(graph) == builder_oracle.node_table(ref)
+    assert builder_oracle.record_table(graph) == builder_oracle.record_table(ref)
+    assert graph.counts() == ref.counts()
+    assert list(graph.counts()) == list(ref.counts())
+    assert graph.rank_kernels() == ref.rank_kernels()
+    assert [n.nid for n in graph.kernel_nodes()] == [
+        n.nid for n in ref.kernel_nodes()
+    ]
+    assert graph.n_waves == ref.n_waves
+
+
+class TestArrayBuilderParity:
+    @pytest.mark.parametrize("n_ranks", CURVE)
+    def test_curve_matches_reference_builder(self, monkeypatch, n_ranks):
+        comm = build_comm(SPEC, n_ranks)
+        graph = build_stencil_graph(comm, steps=4)
+        _assert_same_graph(graph, _oracle_stencil(monkeypatch, comm, steps=4))
+        assert graph.check_edges()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_ranks=st.integers(1, 6),
+        node_size=st.integers(1, 3),
+        waves=st.lists(
+            st.tuples(
+                st.booleans(),  # gather instead of parallel_for
+                st.lists(  # (buffer, mode, halo) per access
+                    st.tuples(
+                        st.integers(0, 2),
+                        st.sampled_from(["read", "write", "read_write"]),
+                        st.sampled_from([0, 0, 1, 3]),
+                    ),
+                    min_size=0,
+                    max_size=3,
+                ),
+                st.integers(1, 63),  # active-rank mask
+                st.integers(0, 1),  # kernel
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_random_waves_match_reference_builder(self, n_ranks, node_size, waves):
+        kernels = [_kernel("sobel3"), _kernel("median")]
+        nodes = [r // node_size for r in range(n_ranks)]
+        graphs = [
+            CommandGraph(n_ranks, nodes),
+            builder_oracle.CommandGraph(n_ranks, nodes),
+        ]
+        rng = DistributedRange(64 * n_ranks, n_ranks)
+        bufs = [DistributedBuffer(rng, name=f"b{i}") for i in range(3)]
+        for is_gather, accesses, mask, ki in waves:
+            if is_gather:
+                for g in graphs:
+                    g.gather(bufs[accesses[0][0] if accesses else 0])
+                continue
+            declared = [
+                DistributedAccess(
+                    bufs[b], AccessMode[mode.upper()],
+                    halo=halo if mode != "write" else 0,
+                )
+                for b, mode, halo in accesses
+            ]
+            per_rank = [
+                kernels[ki] if (mask >> (r % 6)) & 1 or r == n_ranks - 1 else None
+                for r in range(n_ranks)
+            ]
+            created = [g.parallel_for(per_rank, declared) for g in graphs]
+            assert [n.nid for n in created[0]] == [n.nid for n in created[1]]
+        _assert_same_graph(*graphs)
+        assert graphs[0].check_edges()
+
+    def test_node_view_is_lazy_and_read_only(self):
+        g = _graph(3)
+        buf = DistributedBuffer(DistributedRange(12, 3), name="b")
+        g.parallel_for(_kernel("sobel3"), [buf.write()])
+        g.parallel_for(_kernel("sobel3"), [buf.read(halo=2)])
+        nodes = g.nodes
+        assert len(nodes) == 9
+        assert nodes[-1] == nodes[8] == list(nodes)[8]
+        assert [n.nid for n in nodes[2:5]] == [2, 3, 4]
+        assert [n.nid for n in nodes[::4]] == [0, 4, 8]
+        with pytest.raises(IndexError):
+            nodes[9]
+        with pytest.raises(TypeError):
+            nodes[0] = nodes[1]
+        with pytest.raises(ValueError):
+            g.waves[0].deps[0, 0] = 5
+
+    def test_check_edges_names_the_first_bad_dependency(self):
+        import dataclasses
+
+        g = _graph(2)
+        buf = DistributedBuffer(DistributedRange(8, 2), name="b")
+        g.parallel_for(_kernel("sobel3"), [buf.write()])
+        g.parallel_for(_kernel("sobel3"), [buf.write()])
+        wave = g.waves[1]
+        deps = wave.deps.copy()
+        deps[1, 0] = 3  # node 3 depending on itself
+        g.waves[1] = dataclasses.replace(wave, deps=deps)
+        with pytest.raises(ValidationError, match=r"node 3 \(sobel3\[r1\]\) depends on 3"):
+            g.check_edges()
+
+
 # ------------------------------------------------------------ global planner
 
 
@@ -339,6 +465,69 @@ class TestGlobalPlanner:
                 SPEC, kernels, objective="MIN_ENERGY", cache=True
             )
         assert mine.total_energy_j <= edp.total_energy_j + 1e-12
+
+
+def _plan_bits(plan) -> tuple:
+    """Every plan field, floats as bit patterns, entries in order."""
+    def bits(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, tuple):
+            return tuple(bits(v) for v in x)
+        return x
+
+    return tuple(
+        bits(getattr(plan, f))
+        for f in (
+            "device_name", "sla_factor", "budget_s", "critical_rank",
+            "rank_targets", "rank_clocks", "est_time_s", "est_energy_j",
+            "maxperf_time_s", "maxperf_energy_j",
+        )
+    ) + (list(plan.entries.items()),)
+
+
+OBJECTIVES = ("MIN_EDP", "MIN_ENERGY", "MAX_PERF")
+
+
+def _assert_same_plan(rank_kernels, **kwargs) -> None:
+    for objective in OBJECTIVES:
+        plan = plan_global_frequencies(
+            SPEC, rank_kernels, objective=objective, cache=True, **kwargs
+        )
+        ref = planner_oracle.plan_global_frequencies(
+            SPEC, rank_kernels, objective=objective, cache=True, **kwargs
+        )
+        assert plan == ref
+        assert _plan_bits(plan) == _plan_bits(ref)
+
+
+class TestPlannerParity:
+    @pytest.mark.parametrize("n_ranks", CURVE)
+    def test_curve_matches_reference_planner(self, n_ranks):
+        graph = build_stencil_graph(build_comm(SPEC, n_ranks), steps=4)
+        with scoped_cache():
+            _assert_same_plan(graph.rank_kernels(), sla_factor=1.25)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        templates=st.lists(
+            st.lists(st.integers(0, 2), min_size=1, max_size=5),
+            min_size=1,
+            max_size=4,
+        ),
+        picks=st.lists(st.integers(0, 7), min_size=0, max_size=10),
+        sla=st.sampled_from([1.0, 1.1, 1.25, 2.0]),
+    )
+    def test_multisets_match_reference_planner(self, templates, picks, sla):
+        pool = [_kernel("sobel3"), _kernel("median"), _kernel("gemm")]
+        # Every template runs on two ranks (a MAX_PERF tie between equal
+        # multisets), and reversed on a third: the same multiset in a
+        # different first-appearance order.
+        shapes = templates + templates + [t[::-1] for t in templates]
+        shapes += [templates[p % len(templates)] for p in picks]
+        rank_kernels = [[pool[i] for i in t] for t in shapes]
+        with scoped_cache():
+            _assert_same_plan(rank_kernels, sla_factor=sla)
 
 
 # ---------------------------------------------------------------- executors
@@ -485,6 +674,53 @@ class TestExecutors:
             build_comm(SPEC, 0)
         with pytest.raises(ValidationError):
             build_comm(SPEC, 4, ranks_per_node=0)
+
+
+class TestFirstRejectedNode:
+    """The engine raises what a per-node walk raises at its first bad node."""
+
+    def _partial_plan(self, graph):
+        # Plan only the flux and update kernels: the edge ranks' gemm
+        # (wave 1 onwards) has no planned clocks.
+        flux, update = (_kernel("sobel3"), _kernel("median"))
+        return plan_global_frequencies(
+            SPEC, [[flux, update]] * graph.n_ranks, cache=True
+        )
+
+    def test_unplanned_kernel_raises_clocks_for_error(self, stencil):
+        comm, graph, _, _ = stencil
+        with pytest.raises(
+            ConfigurationError, match="kernel 'gemm' on rank 0"
+        ):
+            run_graph(graph, comm, self._partial_plan(graph))
+
+    def test_earlier_restricted_switch_wins(self, stencil):
+        _, graph, _, _ = stencil
+        comm = build_comm(SPEC, graph.n_ranks)
+        comm.gpus[2].set_api_restriction(True)  # switched in wave 0
+        with pytest.raises(ValidationError, match="gpu2.*API-restricted"):
+            run_graph(graph, comm, self._partial_plan(graph))
+
+
+def test_fast_path_builds_no_per_rank_nodes(monkeypatch):
+    """Curve point at 1,024 ranks: only the gather collectives' nodes."""
+    built = []
+    real = graph_module.CommandNode
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("kind"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "CommandNode", counted)
+    with scoped_cache():
+        comm = build_comm(SPEC, 1024)
+        graph = build_stencil_graph(comm, steps=4)
+        plan = plan_global_frequencies(SPEC, graph.rank_kernels(), cache=True)
+        result = run_graph(graph, comm, plan)
+        assert len(graph.nodes) == 12_298 == len(result.start_s)
+        assert graph.check_edges()
+    # ``gather`` returns its collective's node; nothing else is built.
+    assert built == [GATHER] * graph.counts()[GATHER] == [GATHER, GATHER]
 
 
 # ------------------------------------------------------------- obs tracks

@@ -400,7 +400,7 @@ class TestSubmitMany:
 # ----------------------------------------------------------- observability
 
 
-class TestAbsorbEngine:
+class TestBatchResult:
     def test_batch_result_arrays_are_frozen(self, v100, kernel_pool):
         result = SynergyQueue(v100).submit_batch([kernel_pool[0]])
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.hw.cache import models_for
+from repro.hw.device import SimulatedGPU
 from repro.hw.power import PowerModel
-from repro.hw.specs import AMD_MI100, NVIDIA_V100
+from repro.hw.specs import AMD_MI100, NVIDIA_V100, get_spec, known_devices
 
 
 @pytest.fixture
@@ -21,6 +23,18 @@ def test_idle_power_positive(pm):
 def test_peak_power_near_tdp(pm):
     # V100 TDP is 300 W; the model's peak should land in the same class.
     assert 250.0 < pm.peak_power() < 360.0
+
+
+@pytest.mark.parametrize("name", known_devices())
+def test_board_default_limit_is_the_uncached_peak(name):
+    # ``peak_power`` is evaluated once per model; every board's default
+    # limit must still be bit for bit the power at max clocks, full load.
+    spec = get_spec(name)
+    peak = float(
+        PowerModel(spec).power(spec.max_core_mhz, spec.mem_freqs_mhz[-1], 1, 1)
+    )
+    assert SimulatedGPU(spec).default_power_limit_w.hex() == peak.hex()
+    assert models_for(spec)[1].peak_power() is models_for(spec)[1].peak_power()
 
 
 def test_power_increases_with_core_utilization(pm):

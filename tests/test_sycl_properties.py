@@ -10,7 +10,8 @@ start no earlier than the hazards their access modes imply:
   hand and demands ``start >= dep.end`` for every implied edge,
 - **distributed graph, executor and oracle** — random sequences of
   distributed command groups (random access modes, halos, idle ranks,
-  gathers): the derived graph must order every hazard, ``run_graph`` and
+  gathers): the derived graph must equal the per-rank builder's in
+  ``tests/oracles/builder.py`` and order every hazard, ``run_graph`` and
   the per-rank queue walk in ``tests/oracles/graph.py`` must respect
   every derived edge in their timelines, and the two timelines must
   agree within the differential contract (rel 1e-12).
@@ -38,6 +39,7 @@ from repro.sycl import Accessor, Buffer, Queue
 from repro.sycl.accessor import AccessMode
 from repro.sycl.distributed import DistributedBuffer, DistributedRange
 
+from oracles import builder as builder_oracle
 from oracles import graph as oracle
 
 pytestmark = pytest.mark.distributed
@@ -184,8 +186,8 @@ def _warm_sweeps():
         yield
 
 
-def _build_random_graph(n_ranks, ops):
-    graph = CommandGraph(n_ranks, [r // 2 for r in range(n_ranks)])
+def _build_random_graph(n_ranks, ops, graph_cls=CommandGraph):
+    graph = graph_cls(n_ranks, [r // 2 for r in range(n_ranks)])
     rng = DistributedRange(4096 * n_ranks, n_ranks)
     bufs = [
         DistributedBuffer(rng, name=f"gb{i}") for i in range(2)
@@ -225,6 +227,10 @@ def _build_random_graph(n_ranks, ops):
 def test_graph_paths_order_hazards_and_agree(n_ranks, ops):
     spec = get_spec("a100")
     graph = _build_random_graph(n_ranks, ops)
+    # The array builder derives exactly the per-rank builder's graph.
+    ref = _build_random_graph(n_ranks, ops, builder_oracle.CommandGraph)
+    assert builder_oracle.node_table(graph) == builder_oracle.node_table(ref)
+    assert builder_oracle.record_table(graph) == builder_oracle.record_table(ref)
     if not graph.kernel_nodes():
         return  # degenerate draw: no kernels submitted
     assert graph.check_edges()
